@@ -7,8 +7,9 @@ Subcommands:
     fuzz    random differential testing of the star engine vs. the oracle
     table   print reference tables (currently: --brackets)
 
-Exit codes: 0 success, 2 usage/parse/unknown-id errors, 3 evaluation
-domain errors, 4 engine/oracle divergence, 5 fuzz counterexample found.
+Exit codes: 0 success, 2 usage/parse/unknown-id errors and unwritable
+output files, 3 evaluation domain errors, 4 engine/oracle divergence,
+5 fuzz counterexample found.
 """
 
 from __future__ import annotations
@@ -97,10 +98,14 @@ def _cmd_verify(args) -> int:
         report = _verify.run_all()
     rendered = _verify.render_report(report, format=args.format)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-            if not rendered.endswith("\n"):
-                handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+                if not rendered.endswith("\n"):
+                    handle.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(rendered)
     return EXIT_OK

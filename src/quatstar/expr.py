@@ -14,7 +14,9 @@ juxtaposition, juxtaposition binds exactly like '*', and a juxtaposed
 factor may not start with '-' (so "a -b" is a subtraction).  Names are the
 generators q and qbar, the units i, j, k, the eleven variables, and the
 call forms star(f,g), comm(f,g), assoc(f,g,h), conj(f), pb_mn(f,g) with
-mn one of ab, ac, ad, bc, bd, cd.  Call arity is checked at parse time.
+mn one of ab, ac, ad, bc, bd, cd.  Call arity is checked at parse time, and
+so is nesting: parentheses, call arguments and unary minus signs nest at
+most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -129,11 +131,16 @@ _ATOMS = ("q", "qbar", "i", "j", "k") + VARIABLES
 
 _PRIMARY_STARTS = ("number", "name", "(")
 
+# The parser recurses a few frames per nesting level and lowering one or two,
+# so this keeps both well inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -150,6 +157,16 @@ class _Parser:
                              token=tok.text or "end of input",
                              expected=(expected_desc or repr(kind),))
         return self.advance()
+
+    def nested(self, parse, tok):
+        """parse() one nesting level below `tok`, the token that opened it."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             tok.column, token=tok.text)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -169,8 +186,7 @@ class _Parser:
 
     def term(self):
         if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.term())
+            return Neg(self.nested(self.term, self.advance()))
         node = self.factor()
         while True:
             tok = self.peek()
@@ -201,8 +217,7 @@ class _Parser:
             self.advance()
             return Num(Fraction(tok.text))
         if tok.kind == "(":
-            self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, self.advance())
             self.expect(")", "')'")
             return node
         if tok.kind == "name":
@@ -215,10 +230,10 @@ class _Parser:
                         opener.column, token=opener.text or "end of input",
                         expected=("'('",))
                 self.advance()
-                args = [self.expr()]
+                args = [self.nested(self.expr, opener)]
                 while self.peek().kind == ",":
                     self.advance()
-                    args.append(self.expr())
+                    args.append(self.nested(self.expr, opener))
                 closer = self.expect(")", "')'")
                 want = _CALLS[tok.text]
                 if len(args) != want:

@@ -17,6 +17,7 @@ coefficients print parenthesized ("(1 + i) a b").
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import DomainError
 from .quat import Quaternion, quat_parts_text, _UNIT_NAMES
@@ -50,7 +51,7 @@ def var_index(var) -> int:
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    product = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+    product = tuple(map(add, m1, m2))
     if max(product) > EXPONENT_LIMIT:
         raise DomainError(f"exponent overflow: monomial exponent exceeds {EXPONENT_LIMIT}")
     return product
@@ -78,6 +79,20 @@ def _sort_key(m: Monomial):
     return (mono_degree(m), m)
 
 
+def add_term(data: dict, mono: Monomial, coeff: Quaternion) -> None:
+    """Add a nonzero term into the term dict `data` in place; a sum that
+    cancels removes the monomial."""
+    prev = data.get(mono)
+    if prev is None:
+        data[mono] = coeff
+    else:
+        merged = prev + coeff
+        if merged.is_zero():
+            del data[mono]
+        else:
+            data[mono] = merged
+
+
 def _coerce_coeff(value) -> Quaternion:
     if isinstance(value, Quaternion):
         return value
@@ -96,19 +111,18 @@ class QPolynomial:
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 coeff = _coerce_coeff(coeff)
-                if coeff.is_zero():
-                    continue
-                if mono in data:
-                    merged = data[mono] + coeff
-                    if merged.is_zero():
-                        del data[mono]
-                    else:
-                        data[mono] = merged
-                else:
-                    data[mono] = coeff
+                if not coeff.is_zero():
+                    add_term(data, mono, coeff)
         self._terms = data
 
     # --- constructors ---
+
+    @classmethod
+    def from_terms(cls, data: dict) -> "QPolynomial":
+        """Adopt a dict of nonzero terms as is (no copy, no check)."""
+        out = cls.__new__(cls)
+        out._terms = data
+        return out
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -134,6 +148,10 @@ class QPolynomial:
 
     def __len__(self):
         return len(self._terms)
+
+    def items(self):
+        """Terms as (monomial, coefficient) pairs, in storage order."""
+        return self._terms.items()
 
     def terms(self) -> list:
         """Terms as (monomial, coefficient) pairs, canonical order (highest first)."""
@@ -173,17 +191,8 @@ class QPolynomial:
             return NotImplemented
         data = dict(self._terms)
         for mono, coeff in other._terms.items():
-            if mono in data:
-                merged = data[mono] + coeff
-                if merged.is_zero():
-                    del data[mono]
-                else:
-                    data[mono] = merged
-            else:
-                data[mono] = coeff
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = data
-        return out
+            add_term(data, mono, coeff)
+        return QPolynomial.from_terms(data)
 
     def __sub__(self, other):
         if not isinstance(other, QPolynomial):
@@ -191,21 +200,21 @@ class QPolynomial:
         return self + (-other)
 
     def __neg__(self):
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return QPolynomial.from_terms({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Quaternion)):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if isinstance(other, Quaternion):
             # Right-multiplication by a constant: coefficients pick it up on the right.
-            factor = _coerce_coeff(other)
-            return QPolynomial({m: c * factor for m, c in self._terms.items()})
+            return QPolynomial({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, QPolynomial):
             return NotImplemented
         data = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 # Coefficients multiply strictly left-to-right; order matters.
+                # The merge below is add_term inlined, as this is the hottest loop.
                 coeff = c1 * c2
                 if coeff.is_zero():
                     continue
@@ -218,15 +227,20 @@ class QPolynomial:
                         data[mono] = merged
                 else:
                     data[mono] = coeff
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = data
-        return out
+        return QPolynomial.from_terms(data)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Quaternion)):
-            factor = _coerce_coeff(other)
-            return QPolynomial({m: factor * c for m, c in self._terms.items()})
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if isinstance(other, Quaternion):
+            return QPolynomial({m: other * c for m, c in self._terms.items()})
         return NotImplemented
+
+    def _scaled(self, factor) -> "QPolynomial":
+        # A rational is central: scaling each coefficient equals the quaternion product.
+        if not factor:
+            return QPolynomial()
+        return QPolynomial.from_terms({m: c.scale(factor) for m, c in self._terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -267,24 +281,12 @@ class QPolynomial:
             if not exp:
                 continue
             lowered = mono[:idx] + (exp - 1,) + mono[idx + 1:]
-            scaled = coeff.scale(exp)
-            if lowered in data:
-                merged = data[lowered] + scaled
-                if merged.is_zero():
-                    del data[lowered]
-                else:
-                    data[lowered] = merged
-            else:
-                data[lowered] = scaled
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = data
-        return out
+            add_term(data, lowered, coeff.scale(exp))
+        return QPolynomial.from_terms(data)
 
     def conjugate(self) -> "QPolynomial":
         """Quaternionic conjugation of every coefficient (variables stay fixed)."""
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = {m: c.conj() for m, c in self._terms.items()}
-        return out
+        return QPolynomial.from_terms({m: c.conj() for m, c in self._terms.items()})
 
     def evaluate(self, assignment: dict) -> Quaternion:
         """Evaluate at rational values for every variable that occurs.
@@ -316,9 +318,7 @@ class QPolynomial:
                 continue
             stripped = mono[:NU] + (0,) + mono[NU + 1:]
             data[stripped] = coeff
-        out = QPolynomial.__new__(QPolynomial)
-        out._terms = data
-        return out
+        return QPolynomial.from_terms(data)
 
     # --- text ---
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 _UNIT_NAMES = ("", "i", "j", "k")
 
 
@@ -123,7 +121,11 @@ class Quaternion:
 
     def scale(self, factor) -> "Quaternion":
         f = _rat(factor)
-        return Quaternion(self.x0 * f, self.x1 * f, self.x2 * f, self.x3 * f)
+        if f.denominator == 1 and self._is_integral():
+            n = f.numerator
+            return Quaternion._raw(Fraction(self.x0.numerator * n), Fraction(self.x1.numerator * n),
+                                   Fraction(self.x2.numerator * n), Fraction(self.x3.numerator * n))
+        return Quaternion._raw(self.x0 * f, self.x1 * f, self.x2 * f, self.x3 * f)
 
     def conj(self) -> "Quaternion":
         return Quaternion(self.x0, -self.x1, -self.x2, -self.x3)

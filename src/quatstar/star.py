@@ -18,18 +18,25 @@ Because B only differentiates in a..d, the series terminates at
 s = min(position degree f, position degree g).  Theta and nu may stay formal
 (fresh central variables) or be given exact rational values.
 
-The tensor state after s applications of B is held as a map from derivative
-multi-index pairs (alpha, beta) to central weight polynomials; equal pairs
-are merged and branches whose derivative vanishes are pruned as they appear.
+The tensor state after s applications of B maps derivative multi-index
+pairs (alpha, beta) to central rational weight maps {monomial: coefficient}:
+Theta monomials with integer coefficients when Theta is formal, one constant
+when it is numeric.  Equal pairs are merged, weights whose entries cancel
+are dropped, and branches whose derivative vanishes are pruned as they
+appear.  Each order's sum of (d^alpha f)(d^beta g) w_(alpha,beta) is built
+in one dict, with one polynomial product per state entry scaled onto the
+weight's monomials, and 1/(s! 2^s) nu^s is then applied to it in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
+from operator import add
 
 from .errors import DomainError
-from .poly import QPolynomial, VAR_INDEX
+from .poly import NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_term, mono_mul
 
 PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
 
@@ -103,11 +110,14 @@ class StarConfig:
 DEFAULT_CONFIG = StarConfig()
 
 _ZERO4 = (0, 0, 0, 0)
-_NU_POLY = QPolynomial.variable("nu")
 
 
 def _bump(alpha, m):
     return alpha[:m] + (alpha[m] + 1,) + alpha[m + 1:]
+
+
+def _var_mono(idx, exp=1):
+    return ZERO_MONO[:idx] + (exp,) + ZERO_MONO[idx + 1:]
 
 
 class _DerivTable:
@@ -127,18 +137,19 @@ class _DerivTable:
 
 
 def _theta_factors(theta: ThetaSpec):
-    """(m, n, weight) triples for the active pairs; zero-weight pairs dropped."""
+    """(m, n, theta_mono, value) for the active pairs; zero pairs dropped.
+
+    Pair mn contributes value * theta_mono * (d_m (x) d_n - d_n (x) d_m) to
+    B: formal Theta gives the Theta_mn monomial and value 1, numeric Theta
+    gives no monomial (None) and the pair's value.
+    """
     factors = []
     for pos, pair in enumerate(PAIRS):
         m, n = _PAIR_INDICES[pair]
         if theta.is_formal():
-            weight = QPolynomial.variable(_PAIR_THETA[pair])
-        else:
-            value = theta.values[pos]
-            if not value:
-                continue
-            weight = QPolynomial.constant(value)
-        factors.append((m, n, weight))
+            factors.append((m, n, _var_mono(_PAIR_THETA[pair]), 1))
+        elif theta.values[pos]:
+            factors.append((m, n, None, theta.values[pos]))
     return factors
 
 
@@ -152,46 +163,61 @@ def _natural_cap(f, g, config):
 
 
 def _correction_terms(f, g, theta, max_order):
-    """Yield (s, sum-of-weighted-derivative-products, 1/(s! 2^s)) for s >= 1."""
+    """Yield (s, {monomial: coefficient}) for s >= 1: the terms of the sum
+    over the order-s state of (d^alpha f)(d^beta g) w_(alpha,beta), before
+    the factor 1/(s! 2^s) nu^s."""
     if max_order < 1:
         return
     factors = _theta_factors(theta)
     if not factors:
         return
+    formal = theta.is_formal()
     df = _DerivTable(f)
     dg = _DerivTable(g)
-    state = {(_ZERO4, _ZERO4): QPolynomial.constant(1)}
-    prefactor = Fraction(1)
+    state = {(_ZERO4, _ZERO4): {ZERO_MONO: 1}}
     for s in range(1, max_order + 1):
         new_state = {}
         for (alpha, beta), weight in state.items():
-            for m, n, wpoly in factors:
-                for am, bn, sign in ((m, n, 1), (n, m, -1)):
+            for m, n, theta_mono, value in factors:
+                for am, bn, signed in ((m, n, value), (n, m, -value)):
                     a2 = _bump(alpha, am)
                     if df.get(a2).is_zero():
                         continue
                     b2 = _bump(beta, bn)
                     if dg.get(b2).is_zero():
                         continue
-                    delta = weight * wpoly
-                    if sign < 0:
-                        delta = -delta
-                    if (a2, b2) in new_state:
-                        merged = new_state[(a2, b2)] + delta
-                        if merged.is_zero():
-                            del new_state[(a2, b2)]
+                    target = new_state.setdefault((a2, b2), {})
+                    for mono, coeff in weight.items():
+                        if formal:
+                            mono = tuple(map(add, mono, theta_mono))
+                        merged = target.get(mono, 0) + coeff * signed
+                        if merged:
+                            target[mono] = merged
                         else:
-                            new_state[(a2, b2)] = merged
-                    else:
-                        new_state[(a2, b2)] = delta
-        state = new_state
+                            del target[mono]
+        state = {key: weight for key, weight in new_state.items() if weight}
         if not state:
             return
-        prefactor /= 2 * s
-        term = QPolynomial.zero()
+        term = {}
         for (alpha, beta), weight in state.items():
-            term = term + (df.get(alpha) * dg.get(beta)) * weight
-        yield s, term, prefactor
+            product = df.get(alpha) * dg.get(beta)
+            for mono, coeff in product.items():
+                for wmono, value in weight.items():
+                    add_term(term, mono_mul(mono, wmono) if formal else mono,
+                             coeff.scale(value))
+        yield s, term
+
+
+def _add_scaled(data, term, factor, nu_mono):
+    """Add factor * nu_mono * term into the term dict `data` in place
+    (nu_mono None: no monomial factor)."""
+    for mono, coeff in term.items():
+        add_term(data, mono if nu_mono is None else mono_mul(mono, nu_mono),
+                 coeff.scale(factor))
+
+
+def _prefactor(s):
+    return Fraction(1, factorial(s) << s)
 
 
 def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
@@ -199,14 +225,13 @@ def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) ->
     result = f * g
     if config.nu != "formal" and config.nu == 0:
         return result
-    for s, term, prefactor in _correction_terms(f, g, config.theta, _natural_cap(f, g, config)):
-        term = term * prefactor
+    data = dict(result.items())
+    for s, term in _correction_terms(f, g, config.theta, _natural_cap(f, g, config)):
         if config.nu == "formal":
-            term = term * (_NU_POLY ** s)
+            _add_scaled(data, term, _prefactor(s), _var_mono(NU, s))
         else:
-            term = term * (config.nu ** s)
-        result = result + term
-    return result
+            _add_scaled(data, term, _prefactor(s) * config.nu ** s, None)
+    return QPolynomial.from_terms(data)
 
 
 def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
@@ -216,13 +241,12 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
         raise DomainError("correction order must be non-negative")
     if s == 0:
         return f * g
-    cap = _natural_cap(f, g, config)
-    if s > cap:
-        return QPolynomial.zero()
-    for order, term, prefactor in _correction_terms(f, g, config.theta, s):
-        if order == s:
-            return term * prefactor
-    return QPolynomial.zero()
+    data = {}
+    if s <= _natural_cap(f, g, config):
+        for order, term in _correction_terms(f, g, config.theta, s):
+            if order == s:
+                _add_scaled(data, term, _prefactor(s), None)
+    return QPolynomial.from_terms(data)
 
 
 def star_commutator(f: QPolynomial, g: QPolynomial,

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import quatstar.cli as cli
 import quatstar.oracle
 from quatstar.poly import QPolynomial
@@ -63,6 +65,16 @@ def test_eval_exponent_overflow_is_domain_error(capsys):
     assert "exponent overflow" in err
 
 
+@pytest.mark.parametrize("text", ["(" * 3000 + "a" + ")" * 3000,
+                                  "0" + "-" * 3000 + "a"],
+                         ids=["parentheses", "unary-minus"])
+def test_eval_deep_nesting_is_parse_error(capsys, text):
+    code, _, err = run_cli(capsys, "eval", text)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "nested deeper than 100 levels" in err
+
+
 def test_eval_theta_and_nu_flags(capsys):
     code, out, _ = run_cli(capsys, "eval", "--theta", "zero", "star(q, q)")
     assert code == 0
@@ -104,6 +116,15 @@ def test_verify_json_to_file(verify_cli_json):
     assert len(data["records"]) == 124
     assert raw.index('"engine_version"') < raw.index('"summary"')
     assert raw.index('"summary"') < raw.index('"records"')
+
+
+def test_verify_unwritable_out_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--id", "V8.1", "--out", str(target))
+    assert code == 2
+    assert not out
+    assert err.count("\n") == 1
+    assert str(target) in err and "No such file or directory" in err
 
 
 def test_verify_group_json_stdout(capsys):

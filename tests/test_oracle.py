@@ -14,6 +14,22 @@ from quatstar.star import (PAIRS, StarConfig, ThetaSpec, poisson_bracket,
 Q = gen_q()
 QBAR = gen_qbar()
 
+# Numeric Theta with non-unit rationals on some pairs and zero on the others.
+RATIONAL_THETA = ThetaSpec.numeric({"ab": Fraction(2, 3), "ac": 0,
+                                    "bc": Fraction(-5, 4), "bd": 3,
+                                    "cd": Fraction(7, 2)})
+# The order-2 weight of d_a d_c (x) d_b d_d is
+# 2 (Theta_ab Theta_cd - Theta_ad Theta_bc), which cancels to zero here.
+CANCELLING_THETA = ThetaSpec.numeric({"ab": 1, "ad": 1, "bc": 1, "cd": 1})
+
+
+def _cubic(rng):
+    """A random quaternion times a random monomial of position degree 3."""
+    exps = [0] * 11
+    for _ in range(3):
+        exps[rng.randrange(4)] += 1
+    return QPolynomial({tuple(exps): random_quaternion(rng)})
+
 
 def test_oracle_matches_engine_on_basic_inputs():
     assert star_oracle(Q, Q) == star(Q, Q)
@@ -49,14 +65,45 @@ def test_oracle_respects_configs():
     cfg_cap = StarConfig(order_cap=0)
     assert star_oracle(Q * Q, Q * Q, cfg_cap) == Q * Q * Q * Q
 
+    configs = [StarConfig(theta=RATIONAL_THETA),
+               StarConfig(theta=RATIONAL_THETA, nu=Fraction(-3, 5)),
+               StarConfig(theta=CANCELLING_THETA),
+               StarConfig(order_cap=1), StarConfig(order_cap=2),
+               StarConfig(order_cap=2, nu=Fraction(5, 2)),
+               StarConfig(theta=RATIONAL_THETA, order_cap=1, nu=Fraction(1, 3))]
+    rng = Random(59)
+    for _ in range(4):
+        # position degree 3, so order caps 1 and 2 lie below the natural cap
+        f = random_qpoly(rng, max_position_degree=2, max_terms=3) + _cubic(rng)
+        g = random_qpoly(rng, max_position_degree=3, max_terms=3) + _cubic(rng)
+        for cfg in configs:
+            assert star_oracle(f, g, cfg) == star(f, g, cfg)
+            if cfg.order_cap is not None:
+                assert star(f, g, cfg) != star(f, g, StarConfig(cfg.theta, cfg.nu))
+
 
 def test_order_term_extraction():
+    configs = [StarConfig(), StarConfig(theta=RATIONAL_THETA),
+               StarConfig(theta=CANCELLING_THETA), StarConfig(order_cap=1)]
     rng = Random(47)
     for _ in range(10):
         f = random_qpoly(rng, max_position_degree=3, max_terms=3)
         g = random_qpoly(rng, max_position_degree=3, max_terms=3)
-        for s in range(4):
-            assert star_oracle_order(f, g, s) == star_order_term(f, g, s)
+        cap = max(min(f.position_degree(), g.position_degree()), 0)
+        for cfg in configs:
+            for s in range(cap + 2):
+                assert star_oracle_order(f, g, s, cfg) == star_order_term(f, g, s, cfg)
+
+    # With CANCELLING_THETA every order-2 weight of f (x) g cancels.
+    f = QPolynomial({(1, 0, 1) + (0,) * 8: random_quaternion(rng)})
+    g = QPolynomial({(0, 1, 0, 1) + (0,) * 7: random_quaternion(rng)})
+    cancelling = StarConfig(theta=CANCELLING_THETA)
+    assert not star_order_term(f, g, 1, cancelling).is_zero()
+    assert not star_order_term(f, g, 2, StarConfig(theta=RATIONAL_THETA)).is_zero()
+    for s in range(3):
+        assert star_oracle_order(f, g, s, cancelling) == star_order_term(f, g, s, cancelling)
+    assert star_order_term(f, g, 2, cancelling).is_zero()
+    assert star_oracle(f, g, cancelling) == star(f, g, cancelling)
 
 
 def test_bracket_oracle_matches_engine():
