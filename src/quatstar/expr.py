@@ -21,6 +21,7 @@ most MAX_NESTING deep.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -271,6 +272,9 @@ def _atom_poly(ident: str) -> QPolynomial:
     return QPolynomial.variable(ident)
 
 
+_CHAIN_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
 def _backend_fns(backend: str):
     if backend == "engine":
         return _engine_star, _engine_bracket
@@ -296,12 +300,17 @@ def lower(node, config: StarConfig = DEFAULT_CONFIG,
             return _atom_poly(n.ident)
         if isinstance(n, Neg):
             return -go(n.operand)
-        if isinstance(n, Add):
-            return go(n.left) + go(n.right)
-        if isinstance(n, Sub):
-            return go(n.left) - go(n.right)
-        if isinstance(n, Mul):
-            return go(n.left) * go(n.right)
+        if type(n) in _CHAIN_OPS:
+            # The parser builds flat sums and products as left-deep chains:
+            # walk the left spine without recursion, then fold left to right.
+            spine = []
+            while type(n) in _CHAIN_OPS:
+                spine.append(n)
+                n = n.left
+            acc = go(n)
+            for link in reversed(spine):
+                acc = _CHAIN_OPS[type(link)](acc, go(link.right))
+            return acc
         if isinstance(n, Pow):
             return go(n.base) ** n.exponent
         if isinstance(n, Call):

@@ -1,7 +1,12 @@
 """Exact quaternion arithmetic over the rationals.
 
-A quaternion x0 + x1 i + x2 j + x3 k is stored as four `fractions.Fraction`
-components.  Multiplication follows the basis table
+A quaternion x0 + x1 i + x2 j + x3 k is stored as four integer numerators
+n0..n3 over one shared integer denominator den, in lowest terms: den > 0,
+gcd(n0, n1, n2, n3, den) == 1, and the zero quaternion has den == 1.  The
+form is canonical, so equal quaternions have equal fields, and every
+operation is integer arithmetic plus at most one gcd reduction (none when
+the result's denominator is 1).  The components x0..x3 read back as reduced
+`fractions.Fraction`s.  Multiplication follows the basis table
 
     i^2 = j^2 = k^2 = -1,   ij = k = -ji,   jk = i = -kj,   ki = j = -ik,
 
@@ -19,100 +24,92 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 _UNIT_NAMES = ("", "i", "j", "k")
 
 
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _rational(value):
+    """`value` itself if it is an int or a Fraction (both carry
+    numerator/denominator); anything else is a TypeError."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"quaternion components must be rational, got {type(value).__name__}")
+
+
+def _quat(n0, n1, n2, n3, den):
+    """The quaternion (n0 + n1 i + n2 j + n3 k) / den for den > 0, reduced."""
+    if den != 1:
+        g = gcd(n0, n1, n2, n3, den)
+        if g != 1:
+            n0, n1, n2, n3, den = n0 // g, n1 // g, n2 // g, n3 // g, den // g
+    q = object.__new__(Quaternion)
+    q.n0, q.n1, q.n2, q.n3, q.den = n0, n1, n2, n3, den
+    return q
 
 
 class Quaternion:
     """An exact quaternion x0 + x1 i + x2 j + x3 k."""
 
-    __slots__ = ("x0", "x1", "x2", "x3")
+    __slots__ = ("n0", "n1", "n2", "n3", "den")
 
     def __init__(self, x0=0, x1=0, x2=0, x3=0):
-        self.x0 = _rat(x0)
-        self.x1 = _rat(x1)
-        self.x2 = _rat(x2)
-        self.x3 = _rat(x3)
+        xs = [_rational(x) for x in (x0, x1, x2, x3)]
+        den = lcm(*(x.denominator for x in xs))
+        # Over the lcm of reduced denominators the numerators share no factor with den.
+        self.n0, self.n1, self.n2, self.n3 = (x.numerator * (den // x.denominator) for x in xs)
+        self.den = den
 
-    @classmethod
-    def _raw(cls, x0, x1, x2, x3):
-        # Internal: components are already Fractions; skip coercion.
-        q = object.__new__(cls)
-        q.x0 = x0
-        q.x1 = x1
-        q.x2 = x2
-        q.x3 = x3
-        return q
+    x0 = property(lambda self: Fraction(self.n0, self.den))
+    x1 = property(lambda self: Fraction(self.n1, self.den))
+    x2 = property(lambda self: Fraction(self.n2, self.den))
+    x3 = property(lambda self: Fraction(self.n3, self.den))
 
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.x0, self.x1, self.x2, self.x3)
 
     def is_zero(self) -> bool:
-        return not (self.x0 or self.x1 or self.x2 or self.x3)
+        return not (self.n0 or self.n1 or self.n2 or self.n3)
 
     def is_real(self) -> bool:
-        return not (self.x1 or self.x2 or self.x3)
+        return not (self.n1 or self.n2 or self.n3)
 
     def _is_integral(self) -> bool:
-        return (self.x0.denominator == 1 and self.x1.denominator == 1
-                and self.x2.denominator == 1 and self.x3.denominator == 1)
+        return self.den == 1
 
     def __add__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        if self._is_integral() and other._is_integral():
-            return Quaternion._raw(
-                Fraction(self.x0.numerator + other.x0.numerator),
-                Fraction(self.x1.numerator + other.x1.numerator),
-                Fraction(self.x2.numerator + other.x2.numerator),
-                Fraction(self.x3.numerator + other.x3.numerator))
-        return Quaternion._raw(self.x0 + other.x0, self.x1 + other.x1,
-                               self.x2 + other.x2, self.x3 + other.x3)
+        d, e = self.den, other.den
+        if d == e:
+            return _quat(self.n0 + other.n0, self.n1 + other.n1,
+                         self.n2 + other.n2, self.n3 + other.n3, d)
+        return _quat(self.n0 * e + other.n0 * d, self.n1 * e + other.n1 * d,
+                     self.n2 * e + other.n2 * d, self.n3 * e + other.n3 * d, d * e)
 
     def __sub__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        if self._is_integral() and other._is_integral():
-            return Quaternion._raw(
-                Fraction(self.x0.numerator - other.x0.numerator),
-                Fraction(self.x1.numerator - other.x1.numerator),
-                Fraction(self.x2.numerator - other.x2.numerator),
-                Fraction(self.x3.numerator - other.x3.numerator))
-        return Quaternion._raw(self.x0 - other.x0, self.x1 - other.x1,
-                               self.x2 - other.x2, self.x3 - other.x3)
+        d, e = self.den, other.den
+        if d == e:
+            return _quat(self.n0 - other.n0, self.n1 - other.n1,
+                         self.n2 - other.n2, self.n3 - other.n3, d)
+        return _quat(self.n0 * e - other.n0 * d, self.n1 * e - other.n1 * d,
+                     self.n2 * e - other.n2 * d, self.n3 * e - other.n3 * d, d * e)
 
     def __neg__(self):
-        return Quaternion._raw(-self.x0, -self.x1, -self.x2, -self.x3)
+        return _quat(-self.n0, -self.n1, -self.n2, -self.n3, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Quaternion):
-            return NotImplemented
-        a0, a1, a2, a3 = self.x0, self.x1, self.x2, self.x3
-        b0, b1, b2, b3 = other.x0, other.x1, other.x2, other.x3
-        if self._is_integral() and other._is_integral():
-            n0, n1, n2, n3 = a0.numerator, a1.numerator, a2.numerator, a3.numerator
-            m0, m1, m2, m3 = b0.numerator, b1.numerator, b2.numerator, b3.numerator
-            return Quaternion._raw(
-                Fraction(n0 * m0 - n1 * m1 - n2 * m2 - n3 * m3),
-                Fraction(n0 * m1 + n1 * m0 + n2 * m3 - n3 * m2),
-                Fraction(n0 * m2 - n1 * m3 + n2 * m0 + n3 * m1),
-                Fraction(n0 * m3 + n1 * m2 - n2 * m1 + n3 * m0))
-        return Quaternion._raw(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
+            return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
+        a0, a1, a2, a3 = self.n0, self.n1, self.n2, self.n3
+        b0, b1, b2, b3 = other.n0, other.n1, other.n2, other.n3
+        return _quat(a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+                     self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -120,33 +117,35 @@ class Quaternion:
         return NotImplemented
 
     def scale(self, factor) -> "Quaternion":
-        f = _rat(factor)
-        if f.denominator == 1 and self._is_integral():
-            n = f.numerator
-            return Quaternion._raw(Fraction(self.x0.numerator * n), Fraction(self.x1.numerator * n),
-                                   Fraction(self.x2.numerator * n), Fraction(self.x3.numerator * n))
-        return Quaternion._raw(self.x0 * f, self.x1 * f, self.x2 * f, self.x3 * f)
+        f = _rational(factor)
+        p = f.numerator
+        return _quat(self.n0 * p, self.n1 * p, self.n2 * p, self.n3 * p,
+                     self.den * f.denominator)
 
     def conj(self) -> "Quaternion":
-        return Quaternion(self.x0, -self.x1, -self.x2, -self.x3)
+        return _quat(self.n0, -self.n1, -self.n2, -self.n3, self.den)
 
     def norm_sq(self) -> Fraction:
-        return self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3
+        return Fraction(self.n0 * self.n0 + self.n1 * self.n1 + self.n2 * self.n2
+                        + self.n3 * self.n3, self.den * self.den)
 
     def inverse(self) -> "Quaternion":
-        n = self.norm_sq()
+        # conj(q) / |q|^2 = (conj numerators * den) / (sum of squared numerators)
+        n = self.n0 * self.n0 + self.n1 * self.n1 + self.n2 * self.n2 + self.n3 * self.n3
         if not n:
             from .errors import DomainError
             raise DomainError("zero quaternion has no inverse")
-        return self.conj().scale(Fraction(1, 1) / n)
+        d = self.den
+        return _quat(self.n0 * d, -self.n1 * d, -self.n2 * d, -self.n3 * d, n)
 
     def __eq__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return self.components() == other.components()
+        return (self.n0 == other.n0 and self.n1 == other.n1 and self.n2 == other.n2
+                and self.n3 == other.n3 and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.components())
+        return hash((self.n0, self.n1, self.n2, self.n3, self.den))
 
     def __repr__(self):
         return f"Quaternion({self.x0!r}, {self.x1!r}, {self.x2!r}, {self.x3!r})"

@@ -75,6 +75,16 @@ def test_eval_deep_nesting_is_parse_error(capsys, text):
     assert "nested deeper than 100 levels" in err
 
 
+@pytest.mark.parametrize("text, expected", [("+".join(["a"] * 3000), "3000 a"),
+                                            ("-".join(["a"] * 3000), "-2998 a"),
+                                            (" ".join(["a"] * 3000), "a^3000")],
+                         ids=["sum", "difference", "juxtaposition"])
+def test_eval_long_flat_chain(capsys, text, expected):
+    # flat chains do not nest, so they are not capped and must not overflow the stack
+    code, out, err = run_cli(capsys, "eval", text)
+    assert (code, out.strip(), err) == (0, expected, "")
+
+
 def test_eval_theta_and_nu_flags(capsys):
     code, out, _ = run_cli(capsys, "eval", "--theta", "zero", "star(q, q)")
     assert code == 0

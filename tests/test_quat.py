@@ -2,9 +2,12 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
+import sympy
+from sympy.algebras.quaternion import Quaternion as SympyQuaternion
 
 from quatstar.errors import DomainError
 from quatstar.quat import (GROUP_ELEMENTS, I, J, K, ONE, UNITS, ZERO,
@@ -19,6 +22,50 @@ _BASIS_TABLE = {
     2: {0: (1, 2), 1: (-1, 3), 2: (-1, 0), 3: (1, 1)},
     3: {0: (1, 3), 1: (1, 2), 2: (-1, 1), 3: (-1, 0)},
 }
+
+
+def _draw_component(rng):
+    """Zero, a small integer, a large-denominator rational, or a rational
+    built unreduced (such as Fraction(6, 4)); signs either way."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+    k = rng.randint(2, 6)
+    return Fraction(k * rng.randint(-9, 9), k * rng.randint(1, 9))
+
+
+def _draw_quaternion(rng):
+    return Quaternion(*(_draw_component(rng) for _ in range(4)))
+
+
+def _hamilton(a, b):
+    """The Hamilton product of two Fraction 4-tuples."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+def _to_sympy(values):
+    return SympyQuaternion(*(sympy.Rational(v.numerator, v.denominator) for v in values))
+
+
+def _from_sympy(q):
+    return tuple(Fraction(int(c.p), int(c.q)) for c in (q.a, q.b, q.c, q.d))
+
+
+def _assert_canonical(q):
+    # four integer numerators over one positive denominator, in lowest terms
+    fields = (q.n0, q.n1, q.n2, q.n3, q.den)
+    assert all(type(v) is int for v in fields)
+    assert q.den > 0 and gcd(*fields) == 1
+    assert q.components() == tuple(Fraction(n, q.den) for n in fields[:4])
 
 
 def _group_as_pairs():
@@ -49,8 +96,11 @@ def test_full_group_table():
 
 
 def test_group_table_against_matrix_model():
-    # the complex 2x2 embedding is an independent multiplication oracle
-    for x, y in itertools.product(GROUP_ELEMENTS, repeat=2):
+    # the complex 2x2 embedding multiplies components() with its own Fraction
+    # arithmetic, so it is an independent multiplication oracle
+    rng = Random(29)
+    rational = [(_draw_quaternion(rng), _draw_quaternion(rng)) for _ in range(40)]
+    for x, y in list(itertools.product(GROUP_ELEMENTS, repeat=2)) + rational:
         assert to_matrix(x * y, "C2") == to_matrix(x, "C2") * to_matrix(y, "C2")
 
 
@@ -59,6 +109,50 @@ def test_constructor_coerces_rationals():
     assert q.components() == (Fraction(1), Fraction(1, 2), Fraction(-3), Fraction(0))
     with pytest.raises(TypeError):
         Quaternion(0.5)
+    # equal values built by different routes share one canonical form
+    x = Quaternion(Fraction(3, 4), -2, Fraction(5, 6), 0)
+    routes = [(Quaternion(Fraction(2, 4)), Quaternion(Fraction(1, 2))),
+              (x + (-x), ZERO),
+              (x.scale(3).scale(Fraction(1, 3)), x)]
+    for left, right in routes:
+        assert left == right
+        assert hash(left) == hash(right)
+        for value in left.components() + right.components():
+            assert type(value) is Fraction
+            assert gcd(value.numerator, value.denominator) == 1
+        _assert_canonical(left)
+        _assert_canonical(right)
+
+
+def test_kernel_against_fraction_formulas_and_sympy():
+    # the engine and the oracle share this kernel, so it is checked here
+    # against plain Fraction 4-tuples and against sympy's quaternions
+    rng = Random(2024)
+    for _ in range(200):
+        x, y = _draw_quaternion(rng), _draw_quaternion(rng)
+        factor = Fraction(_draw_component(rng))
+        xt, yt = x.components(), y.components()
+        sx, sy = _to_sympy(xt), _to_sympy(yt)
+        sf = sympy.Rational(factor.numerator, factor.denominator)
+        norm = sum(v * v for v in xt)
+        cases = [
+            (x * y, _hamilton(xt, yt), sx * sy),
+            (x + y, tuple(a + b for a, b in zip(xt, yt)), sx + sy),
+            (x - y, tuple(a - b for a, b in zip(xt, yt)), sx - sy),
+            (x.scale(factor), tuple(a * factor for a in xt), sx * sf),
+            (x.conj(), (xt[0], -xt[1], -xt[2], -xt[3]), sx.conjugate()),
+        ]
+        if norm:
+            inv = (xt[0] / norm, -xt[1] / norm, -xt[2] / norm, -xt[3] / norm)
+            cases.append((x.inverse(), inv, sx.inverse()))
+        else:
+            with pytest.raises(DomainError):
+                x.inverse()
+        for result, by_formula, by_sympy in cases:
+            _assert_canonical(result)
+            assert result.components() == by_formula == _from_sympy(by_sympy)
+        assert type(x.norm_sq()) is Fraction
+        assert x.norm_sq() == norm == (sx * sx.conjugate()).a
 
 
 def test_addition_and_negation():
@@ -79,7 +173,7 @@ def test_general_product():
 
 
 def test_fractional_product_matches_scaled_integer_product():
-    # the integral fast path and the generic path must agree
+    # products and sums of rational and integral operands must agree
     rng = Random(5)
     for _ in range(50):
         q = Quaternion(*[rng.randint(-9, 9) for _ in range(4)])
