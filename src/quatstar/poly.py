@@ -4,8 +4,18 @@ The indeterminates, in their fixed order, are the four position variables
 a, b, c, d, the deformation parameter nu, and the six antisymmetric-tensor
 entries Theta_ab .. Theta_cd.  All eleven commute with each other and with
 every quaternion; all noncommutativity lives in the coefficients, which are
-kept on the left of their monomial.  A polynomial is a dict from exponent
-tuples (length 11) to nonzero Quaternion coefficients.
+kept on the left of their monomial.  A polynomial is a dict from packed
+monomials to nonzero Quaternion coefficients.
+
+A packed monomial is one int: eleven 21-bit exponent fields, `a` most
+significant, below the total degree.  Its integer order is the canonical
+order, and a product is `m1 + m2`: a field holds the sum of two exponents
+<= EXPONENT_LIMIT < 2^20 without a carry.  The overflow guard is one compare
+against (EXPONENT_LIMIT + 1) << degree shift; only a product of higher total
+degree is unpacked to check each field.  A partial reads one field with a
+shift and a mask and subtracts a precomputed unit.  Only this module knows
+the format: the constructor, `terms()` and `coefficient()` speak 11-tuples
+of ints in [0, EXPONENT_LIMIT], and anything else is a DomainError.
 
 Canonical term order is graded lexicographic, highest first (total degree,
 then exponent tuple with `a` most significant).  Canonical text renders each
@@ -17,10 +27,9 @@ coefficients print parenthesized ("(1 + i) a b").
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
 from .errors import DomainError
-from .quat import Quaternion, quat_parts_text, _UNIT_NAMES
+from .quat import ONE, Quaternion, quat_parts_text, _UNIT_NAMES
 
 VARIABLES = ("a", "b", "c", "d", "nu",
              "Theta_ab", "Theta_ac", "Theta_ad",
@@ -30,13 +39,19 @@ POSITION_VARS = ("a", "b", "c", "d")
 NU = VAR_INDEX["nu"]
 
 N_VARS = len(VARIABLES)
-ZERO_MONO = (0,) * N_VARS
 
 # Resource guard: exponents beyond this raise DomainError instead of silently
 # consuming unbounded time/memory.
 EXPONENT_LIMIT = 10 ** 6
 
-Monomial = tuple  # length-11 tuple of non-negative ints
+_FIELD_BITS = 21
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_SHIFTS = tuple(_FIELD_BITS * (N_VARS - 1 - idx) for idx in range(N_VARS))
+_DEGREE_SHIFT = _FIELD_BITS * N_VARS
+_DEGREE_GUARD = (EXPONENT_LIMIT + 1) << _DEGREE_SHIFT
+_UNITS = tuple((1 << _DEGREE_SHIFT) | (1 << shift) for shift in _SHIFTS)
+_OVERFLOW = f"exponent overflow: monomial exponent exceeds {EXPONENT_LIMIT}"
+ZERO_MONO = 0
 
 
 def var_index(var) -> int:
@@ -50,24 +65,44 @@ def var_index(var) -> int:
         raise DomainError(f"unknown variable {var!r}") from None
 
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    product = tuple(map(add, m1, m2))
-    if max(product) > EXPONENT_LIMIT:
-        raise DomainError(f"exponent overflow: monomial exponent exceeds {EXPONENT_LIMIT}")
+def exact_rational(value, name: str) -> Fraction:
+    """`value` as a Fraction; anything but an int or a Fraction (a float, say) is a DomainError."""
+    if not isinstance(value, (int, Fraction)):
+        raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
+def _pack(mono: tuple) -> int:
+    """The packed monomial of an 11-tuple of int exponents in [0, EXPONENT_LIMIT]."""
+    if (type(mono) is not tuple or len(mono) != N_VARS
+            or not all(type(e) is int and 0 <= e <= EXPONENT_LIMIT for e in mono)):
+        raise DomainError(f"a monomial is {N_VARS} ints in [0, {EXPONENT_LIMIT}], got {mono!r}")
+    return sum(e << shift for e, shift in zip(mono, _SHIFTS)) | sum(mono) << _DEGREE_SHIFT
+
+
+def _unpack(mono: int) -> tuple:
+    return tuple(mono >> shift & _FIELD_MASK for shift in _SHIFTS)
+
+
+def var_mono(idx: int, exp: int = 1) -> int:
+    """The packed monomial of variable `idx` to the power `exp`."""
+    if exp > EXPONENT_LIMIT:
+        raise DomainError(_OVERFLOW)
+    return exp * _UNITS[idx]
+
+
+def mono_mul(m1: int, m2: int) -> int:
+    """The product of two packed monomials, guarded against exponent overflow."""
+    product = m1 + m2
+    if product >= _DEGREE_GUARD and any(
+            product >> shift & _FIELD_MASK > EXPONENT_LIMIT for shift in _SHIFTS):
+        raise DomainError(_OVERFLOW)
     return product
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-def mono_position_degree(m: Monomial) -> int:
-    return m[0] + m[1] + m[2] + m[3]
-
-
-def mono_text(m: Monomial) -> str:
+def mono_text(mono: tuple) -> str:
     pieces = []
-    for name, exp in zip(VARIABLES, m):
+    for name, exp in zip(VARIABLES, mono):
         if exp == 1:
             pieces.append(name)
         elif exp > 1:
@@ -75,11 +110,7 @@ def mono_text(m: Monomial) -> str:
     return " ".join(pieces)
 
 
-def _sort_key(m: Monomial):
-    return (mono_degree(m), m)
-
-
-def add_term(data: dict, mono: Monomial, coeff: Quaternion) -> None:
+def add_term(data: dict, mono: int, coeff: Quaternion) -> None:
     """Add a nonzero term into the term dict `data` in place; a sum that
     cancels removes the monomial."""
     prev = data.get(mono)
@@ -101,6 +132,15 @@ def _coerce_coeff(value) -> Quaternion:
     raise TypeError(f"coefficients must be quaternions or rationals, got {type(value).__name__}")
 
 
+def _quat_pow(x: Quaternion, n: int) -> Quaternion:
+    result = ONE
+    while n:
+        if n & 1:
+            result = result * x
+        x, n = x * x, n >> 1
+    return result
+
+
 class QPolynomial:
     """A polynomial with quaternion coefficients and central variables."""
 
@@ -110,7 +150,7 @@ class QPolynomial:
         data = {}
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = _coerce_coeff(coeff)
+                mono, coeff = _pack(mono), _coerce_coeff(coeff)
                 if not coeff.is_zero():
                     add_term(data, mono, coeff)
         self._terms = data
@@ -119,7 +159,7 @@ class QPolynomial:
 
     @classmethod
     def from_terms(cls, data: dict) -> "QPolynomial":
-        """Adopt a dict of nonzero terms as is (no copy, no check)."""
+        """Adopt a dict of packed monomials to nonzero terms as is (no copy, no check)."""
         out = cls.__new__(cls)
         out._terms = data
         return out
@@ -130,13 +170,12 @@ class QPolynomial:
 
     @classmethod
     def constant(cls, value) -> "QPolynomial":
-        return cls({ZERO_MONO: _coerce_coeff(value)})
+        coeff = _coerce_coeff(value)
+        return cls.from_terms({} if coeff.is_zero() else {ZERO_MONO: coeff})
 
     @classmethod
     def variable(cls, var) -> "QPolynomial":
-        idx = var_index(var)
-        mono = tuple(1 if i == idx else 0 for i in range(N_VARS))
-        return cls({mono: Quaternion(1)})
+        return cls.from_terms({var_mono(var_index(var)): ONE})
 
     # --- inspection ---
 
@@ -150,39 +189,34 @@ class QPolynomial:
         return len(self._terms)
 
     def items(self):
-        """Terms as (monomial, coefficient) pairs, in storage order."""
+        """Terms as (packed monomial, coefficient) pairs, in storage order."""
         return self._terms.items()
 
     def terms(self) -> list:
         """Terms as (monomial, coefficient) pairs, canonical order (highest first)."""
-        return sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0]), reverse=True)
+        return [(_unpack(m), self._terms[m]) for m in sorted(self._terms, reverse=True)]
 
-    def coefficient(self, mono: Monomial) -> Quaternion:
-        return self._terms.get(tuple(mono), Quaternion())
+    def coefficient(self, mono: tuple) -> Quaternion:
+        return self._terms.get(_pack(mono), Quaternion())
 
     def total_degree(self) -> int:
         if not self._terms:
             return -1
-        return max(mono_degree(m) for m in self._terms)
+        return max(self._terms) >> _DEGREE_SHIFT
 
     def position_degree(self) -> int:
         """Degree in the position variables a..d alone (-1 for the zero polynomial)."""
         if not self._terms:
             return -1
-        return max(mono_position_degree(m) for m in self._terms)
+        return max(sum(m >> shift & _FIELD_MASK for shift in _SHIFTS[:4]) for m in self._terms)
 
     def nu_degree(self) -> int:
         if not self._terms:
             return -1
-        return max(m[NU] for m in self._terms)
+        return max(m >> _SHIFTS[NU] & _FIELD_MASK for m in self._terms)
 
     def variables_used(self) -> set:
-        used = set()
-        for m in self._terms:
-            for idx, exp in enumerate(m):
-                if exp:
-                    used.add(VARIABLES[idx])
-        return used
+        return {VARIABLES[idx] for m in self._terms for idx, exp in enumerate(_unpack(m)) if exp}
 
     # --- ring operations ---
 
@@ -207,33 +241,38 @@ class QPolynomial:
             return self._scaled(other)
         if isinstance(other, Quaternion):
             # Right-multiplication by a constant: coefficients pick it up on the right.
-            return QPolynomial({m: c * other for m, c in self._terms.items()})
+            return QPolynomial.from_terms({} if other.is_zero() else
+                                          {m: c * other for m, c in self._terms.items()})
         if not isinstance(other, QPolynomial):
             return NotImplemented
         data = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                # Coefficients multiply strictly left-to-right; order matters.
-                # The merge below is add_term inlined, as this is the hottest loop.
+                # Coefficients multiply strictly left-to-right; order matters.  The
+                # quaternions are a division ring, so the product is nonzero.  This is
+                # the hottest loop, so add_term and mono_mul are inlined: mono_mul runs
+                # only to check the fields of a product whose degree is over the limit.
                 coeff = c1 * c2
-                if coeff.is_zero():
-                    continue
-                mono = mono_mul(m1, m2)
-                if mono in data:
-                    merged = data[mono] + coeff
+                mono = m1 + m2
+                if mono >= _DEGREE_GUARD:
+                    mono_mul(m1, m2)
+                prev = data.get(mono)
+                if prev is None:
+                    data[mono] = coeff
+                else:
+                    merged = prev + coeff
                     if merged.is_zero():
                         del data[mono]
                     else:
                         data[mono] = merged
-                else:
-                    data[mono] = coeff
         return QPolynomial.from_terms(data)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         if isinstance(other, Quaternion):
-            return QPolynomial({m: other * c for m, c in self._terms.items()})
+            return QPolynomial.from_terms({} if other.is_zero() else
+                                          {m: other * c for m, c in self._terms.items()})
         return NotImplemented
 
     def _scaled(self, factor) -> "QPolynomial":
@@ -243,20 +282,23 @@ class QPolynomial:
         return QPolynomial.from_terms({m: c.scale(factor) for m, c in self._terms.items()})
 
     def __pow__(self, n):
+        """Repeated multiplication, which beats squaring on sparse bases
+        (Fateman 1974); a single term is raised directly."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise DomainError("negative powers are not defined for polynomials")
         if n > EXPONENT_LIMIT:
             raise DomainError(f"exponent overflow: power {n} exceeds {EXPONENT_LIMIT}")
-        result = QPolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+        if n == 0:
+            return QPolynomial.constant(1)
+        if len(self._terms) <= 1:
+            if any(max(_unpack(m)) * n > EXPONENT_LIMIT for m in self._terms):
+                raise DomainError(_OVERFLOW)
+            return QPolynomial.from_terms({m * n: _quat_pow(c, n) for m, c in self._terms.items()})
+        result = self
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -275,13 +317,13 @@ class QPolynomial:
             raise DomainError(
                 f"partial derivative over {VARIABLES[idx]!r} is not defined; "
                 "only a, b, c, d admit partials")
+        shift, unit = _SHIFTS[idx], _UNITS[idx]
         data = {}
         for mono, coeff in self._terms.items():
-            exp = mono[idx]
-            if not exp:
-                continue
-            lowered = mono[:idx] + (exp - 1,) + mono[idx + 1:]
-            add_term(data, lowered, coeff.scale(exp))
+            exp = mono >> shift & _FIELD_MASK
+            if exp:
+                # Lowering one exponent maps distinct monomials to distinct ones.
+                data[mono - unit] = coeff.scale(exp)
         return QPolynomial.from_terms(data)
 
     def conjugate(self) -> "QPolynomial":
@@ -291,17 +333,16 @@ class QPolynomial:
     def evaluate(self, assignment: dict) -> Quaternion:
         """Evaluate at rational values for every variable that occurs.
 
-        `assignment` maps variable names to rationals.  A variable that occurs
-        in the polynomial but not in the assignment is a domain error.
+        `assignment` maps variable names to ints or Fractions.  A variable
+        that occurs in the polynomial but not in the assignment is a domain
+        error.
         """
-        values = {}
-        for name, value in assignment.items():
-            idx = var_index(name)
-            values[idx] = value if isinstance(value, Fraction) else Fraction(value)
+        values = {var_index(name): exact_rational(value, name)
+                  for name, value in assignment.items()}
         total = Quaternion()
         for mono, coeff in self._terms.items():
             factor = Fraction(1)
-            for idx, exp in enumerate(mono):
+            for idx, exp in enumerate(_unpack(mono)):
                 if not exp:
                     continue
                 if idx not in values:
@@ -312,13 +353,9 @@ class QPolynomial:
 
     def coefficient_of_nu_power(self, s: int) -> "QPolynomial":
         """The polynomial multiplying nu^s (with that nu power removed)."""
-        data = {}
-        for mono, coeff in self._terms.items():
-            if mono[NU] != s:
-                continue
-            stripped = mono[:NU] + (0,) + mono[NU + 1:]
-            data[stripped] = coeff
-        return QPolynomial.from_terms(data)
+        shift, unit = _SHIFTS[NU], _UNITS[NU]
+        return QPolynomial.from_terms({m - s * unit: c for m, c in self._terms.items()
+                                       if m >> shift & _FIELD_MASK == s})
 
     # --- text ---
 
@@ -341,7 +378,7 @@ class QPolynomial:
         return f"QPolynomial<{self.canonical_text()}>"
 
 
-def _term_text(mono: Monomial, coeff: Quaternion):
+def _term_text(mono: tuple, coeff: Quaternion):
     """Render one term; returns (sign_extracted, unsigned_body)."""
     mtext = mono_text(mono)
     comps = coeff.components()
@@ -366,12 +403,8 @@ def _term_text(mono: Monomial, coeff: Quaternion):
 
 def gen_q() -> QPolynomial:
     """The coordinate quaternion q = a + i b + j c + k d."""
-    from .quat import ONE, I, J, K
-    terms = {}
-    for idx, unit in zip(range(4), (ONE, I, J, K)):
-        mono = tuple(1 if i == idx else 0 for i in range(N_VARS))
-        terms[mono] = unit
-    return QPolynomial(terms)
+    from .quat import I, J, K
+    return QPolynomial.from_terms({var_mono(idx): unit for idx, unit in enumerate((ONE, I, J, K))})
 
 
 def gen_qbar() -> QPolynomial:

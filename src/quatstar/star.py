@@ -23,9 +23,14 @@ pairs (alpha, beta) to central rational weight maps {monomial: coefficient}:
 Theta monomials with integer coefficients when Theta is formal, one constant
 when it is numeric.  Equal pairs are merged, weights whose entries cancel
 are dropped, and branches whose derivative vanishes are pruned as they
-appear.  Each order's sum of (d^alpha f)(d^beta g) w_(alpha,beta) is built
-in one dict, with one polynomial product per state entry scaled onto the
-weight's monomials, and 1/(s! 2^s) nu^s is then applied to it in one pass.
+appear.  alpha and beta are packed monomials in a..d, so a bump adds a unit
+monomial, and the tables of d^alpha f and d^beta g are filled from the entry
+being extended: d^(alpha + e_m) f = d_m (d^alpha f).  Each order's sum of
+(d^alpha f)(d^beta g) w_(alpha,beta) is built in one dict, with one
+polynomial product per state entry scaled onto the weight's monomials, and
+1/(s! 2^s) nu^s is then applied to it in one pass.  Star code only adds
+monomials from `poly`; each Theta, weight and nu^s shift goes through the
+guarded `mono_mul`.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from operator import add
 
 from .errors import DomainError
-from .poly import NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_term, mono_mul
+from .poly import (NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_term, exact_rational,
+                   mono_mul, var_mono)
 
 PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
 
@@ -76,7 +81,7 @@ class ThetaSpec:
         for pair, value in mapping.items():
             if pair not in _PAIR_INDICES:
                 raise DomainError(f"unknown bracket pair {pair!r}")
-            values[PAIRS.index(pair)] = Fraction(value)
+            values[PAIRS.index(pair)] = exact_rational(value, f"Theta_{pair}")
         return cls(tuple(values))
 
     def is_formal(self) -> bool:
@@ -99,41 +104,12 @@ class StarConfig:
 
     def __post_init__(self):
         if self.nu != "formal":
-            try:
-                object.__setattr__(self, "nu", Fraction(self.nu))
-            except (ValueError, TypeError, ZeroDivisionError):
-                raise DomainError(f"nu must be 'formal' or a rational value, got {self.nu!r}")
+            object.__setattr__(self, "nu", exact_rational(self.nu, "nu"))
         if self.order_cap is not None and self.order_cap < 0:
             raise DomainError("order_cap must be non-negative")
 
 
 DEFAULT_CONFIG = StarConfig()
-
-_ZERO4 = (0, 0, 0, 0)
-
-
-def _bump(alpha, m):
-    return alpha[:m] + (alpha[m] + 1,) + alpha[m + 1:]
-
-
-def _var_mono(idx, exp=1):
-    return ZERO_MONO[:idx] + (exp,) + ZERO_MONO[idx + 1:]
-
-
-class _DerivTable:
-    """Cache of iterated partials of one polynomial, keyed by multi-index."""
-
-    def __init__(self, poly):
-        self._cache = {_ZERO4: poly}
-
-    def get(self, alpha) -> QPolynomial:
-        cached = self._cache.get(alpha)
-        if cached is None:
-            m = next(i for i, e in enumerate(alpha) if e)
-            lower = alpha[:m] + (alpha[m] - 1,) + alpha[m + 1:]
-            cached = self.get(lower).partial(m)
-            self._cache[alpha] = cached
-        return cached
 
 
 def _theta_factors(theta: ThetaSpec):
@@ -147,7 +123,7 @@ def _theta_factors(theta: ThetaSpec):
     for pos, pair in enumerate(PAIRS):
         m, n = _PAIR_INDICES[pair]
         if theta.is_formal():
-            factors.append((m, n, _var_mono(_PAIR_THETA[pair]), 1))
+            factors.append((m, n, var_mono(_PAIR_THETA[pair]), 1))
         elif theta.values[pos]:
             factors.append((m, n, None, theta.values[pos]))
     return factors
@@ -172,24 +148,29 @@ def _correction_terms(f, g, theta, max_order):
     if not factors:
         return
     formal = theta.is_formal()
-    df = _DerivTable(f)
-    dg = _DerivTable(g)
-    state = {(_ZERO4, _ZERO4): {ZERO_MONO: 1}}
+    df, dg = {ZERO_MONO: f}, {ZERO_MONO: g}
+    state = {(ZERO_MONO, ZERO_MONO): {ZERO_MONO: 1}}
     for s in range(1, max_order + 1):
         new_state = {}
         for (alpha, beta), weight in state.items():
             for m, n, theta_mono, value in factors:
                 for am, bn, signed in ((m, n, value), (n, m, -value)):
-                    a2 = _bump(alpha, am)
-                    if df.get(a2).is_zero():
+                    a2 = alpha + var_mono(am)
+                    fd = df.get(a2)
+                    if fd is None:
+                        fd = df[a2] = df[alpha].partial(am)
+                    if fd.is_zero():
                         continue
-                    b2 = _bump(beta, bn)
-                    if dg.get(b2).is_zero():
+                    b2 = beta + var_mono(bn)
+                    gd = dg.get(b2)
+                    if gd is None:
+                        gd = dg[b2] = dg[beta].partial(bn)
+                    if gd.is_zero():
                         continue
                     target = new_state.setdefault((a2, b2), {})
                     for mono, coeff in weight.items():
                         if formal:
-                            mono = tuple(map(add, mono, theta_mono))
+                            mono = mono_mul(mono, theta_mono)
                         merged = target.get(mono, 0) + coeff * signed
                         if merged:
                             target[mono] = merged
@@ -200,7 +181,7 @@ def _correction_terms(f, g, theta, max_order):
             return
         term = {}
         for (alpha, beta), weight in state.items():
-            product = df.get(alpha) * dg.get(beta)
+            product = df[alpha] * dg[beta]
             for mono, coeff in product.items():
                 for wmono, value in weight.items():
                     add_term(term, mono_mul(mono, wmono) if formal else mono,
@@ -228,7 +209,7 @@ def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) ->
     data = dict(result.items())
     for s, term in _correction_terms(f, g, config.theta, _natural_cap(f, g, config)):
         if config.nu == "formal":
-            _add_scaled(data, term, _prefactor(s), _var_mono(NU, s))
+            _add_scaled(data, term, _prefactor(s), var_mono(NU, s))
         else:
             _add_scaled(data, term, _prefactor(s) * config.nu ** s, None)
     return QPolynomial.from_terms(data)

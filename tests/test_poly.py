@@ -1,14 +1,21 @@
 """Polynomials with left quaternion coefficients over central indeterminates."""
 
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.algebras.quaternion import Quaternion as SympyQuaternion
 
 from quatstar.errors import DomainError
-from quatstar.poly import (EXPONENT_LIMIT, QPolynomial, VARIABLES, gen_q,
-                           gen_qbar, mono_mul, mono_text, var_index)
+from quatstar.expr import evaluate_text
+from quatstar.oracle import random_qpoly
+from quatstar.poly import (EXPONENT_LIMIT, NU as NU_INDEX, QPolynomial, VARIABLES,
+                           gen_q, gen_qbar, mono_text, var_index)
 from quatstar.quat import I, J, K, ONE, Quaternion
+from quatstar.star import PAIRS, pair_indices, star
 
 
 def _mono(**exps):
@@ -114,12 +121,44 @@ def test_powers():
         A ** (EXPONENT_LIMIT + 1)
     with pytest.raises(TypeError):
         A ** 2 * "b"          # type: ignore[operator]
+    # A single-term base is raised directly: exponents times n, coefficient by squaring.
+    term = QPolynomial.constant(Quaternion(Fraction(1, 2), -1, 0, 3)) * A * B ** 2
+    assert term ** 5 == term * term * term * term * term
+    assert str(A ** EXPONENT_LIMIT) == "a^1000000"
+    assert (A * A) ** (EXPONENT_LIMIT // 2) == A ** EXPONENT_LIMIT
+    with pytest.raises(DomainError):
+        (A * A) ** (EXPONENT_LIMIT // 2 + 1)
+    assert QPolynomial.zero() ** 3 == QPolynomial.zero()
+    assert QPolynomial.zero() ** 0 == QPolynomial.constant(1)
 
 
 def test_monomial_exponent_overflow():
-    big = _mono(a=EXPONENT_LIMIT)
+    big = QPolynomial({_mono(a=EXPONENT_LIMIT): 1})
     with pytest.raises(DomainError):
-        mono_mul(big, _mono(a=1))
+        big * A
+    # The total degree is over the limit, but every exponent is within it.
+    wide = QPolynomial({_mono(a=600000): 1}) * QPolynomial({_mono(b=600000): 1})
+    assert str(wide) == "a^600000 b^600000"
+    assert wide.total_degree() == 1200000
+    for factor in ("Theta_cd", "nu"):
+        at_limit = QPolynomial({_mono(**{factor: EXPONENT_LIMIT}): 1}) * gen_q()
+        with pytest.raises(DomainError):
+            star(at_limit, gen_q())
+    theta_cd = QPolynomial.variable("Theta_cd")
+    mixed = A ** EXPONENT_LIMIT + B ** EXPONENT_LIMIT + theta_cd ** EXPONENT_LIMIT + A * B
+    assert str(mixed) == "a^1000000 + b^1000000 + Theta_cd^1000000 + a b"
+    assert [m for m, _ in mixed.terms()] == [_mono(a=EXPONENT_LIMIT), _mono(b=EXPONENT_LIMIT),
+                                             _mono(Theta_cd=EXPONENT_LIMIT), _mono(a=1, b=1)]
+
+
+@pytest.mark.parametrize("mono", [(-1,) + (0,) * 10, (2000000,) + (0,) * 10, (1, 0),
+                                  (1.5,) + (0,) * 10],
+                         ids=["negative", "over-limit", "short", "float"])
+def test_malformed_monomials_are_rejected(mono):
+    with pytest.raises(DomainError):
+        QPolynomial({mono: 1})
+    with pytest.raises(DomainError):
+        A.coefficient(mono)
 
 
 def test_partial_derivatives():
@@ -196,3 +235,110 @@ def test_equality_and_hashability():
 
 def test_repr_contains_text():
     assert "a + i b" in repr(gen_q())
+
+
+# --- an independent check against sympy -------------------------------------
+
+SYMBOLS = sympy.symbols(VARIABLES)
+ALL_VARS = tuple(range(len(VARIABLES)))
+
+
+def _to_sympy(poly, gens=ALL_VARS):
+    """A sympy quaternion whose components are sympy polynomials in the
+    variables with indices `gens` (fewer generators make sympy's dense
+    polynomials faster), built from the public terms()."""
+    parts = [{} for _ in range(4)]
+    for mono, coeff in poly.terms():
+        assert not any(e for idx, e in enumerate(mono) if idx not in gens), mono
+        for part, value in zip(parts, coeff.components()):
+            if value:
+                key = tuple(mono[idx] for idx in gens)
+                part[key] = sympy.Rational(value.numerator, value.denominator)
+    symbols = [SYMBOLS[idx] for idx in gens]
+    return SympyQuaternion(*(sympy.Poly.from_dict(part, *symbols, domain="QQ") for part in parts))
+
+
+def _parts(q):
+    return (q.a, q.b, q.c, q.d)
+
+
+def _same(poly, expected, gens=ALL_VARS):
+    """`poly` equals `expected`, and rebuilding it from its public terms()
+    gives an equal polynomial (so no internal field is out of step)."""
+    return poly == QPolynomial(poly.terms()) and _parts(_to_sympy(poly, gens)) == _parts(expected)
+
+
+def _diff(q, var):
+    return SympyQuaternion(*(x.diff(var) for x in _parts(q)))
+
+
+def _nu_coefficient(q, s):
+    """The coefficient of nu^s; nu's generator position is its variable index."""
+    return SympyQuaternion(*(sympy.Poly.from_dict(
+        {m[:NU_INDEX] + (0,) + m[NU_INDEX + 1:]: c for m, c in x.terms() if m[NU_INDEX] == s},
+        *x.gens, domain="QQ") for x in _parts(q)))
+
+
+def _sympy_star(f, g):
+    """sum_s (1/s!) (nu/2)^s mul(B^s (f (x) g)), B = sum_{m<n} Theta_mn (d_m (x) d_n - d_n (x) d_m),
+    summed term by term over every sequence of signed derivative pairs."""
+    def poly(symbol):
+        return sympy.Poly(symbol, *SYMBOLS, domain="QQ")
+
+    steps = []
+    for pair in PAIRS:
+        m, n = (SYMBOLS[i] for i in pair_indices(pair))
+        theta = poly(SYMBOLS[var_index("Theta_" + pair)])
+        steps += [(m, n, theta), (n, m, -theta)]
+    nu = poly(SYMBOLS[NU_INDEX])
+    total, level, s = f * g, [(f, g, nu ** 0)], 0
+    while level:
+        s += 1
+        level = [(fd, gd, w * sign) for left, right, w in level for m, n, sign in steps
+                 for fd in [_diff(left, m)] if any(_parts(fd))
+                 for gd in [_diff(right, n)] if any(_parts(gd))]
+        scale = nu ** s * sympy.Rational(1, factorial(s) * 2 ** s)
+        for fd, gd, w in level:
+            total = total + (fd * gd) * (w * scale)
+    return total
+
+
+def test_polynomial_core_against_sympy():
+    rng = Random(41)
+    for trial in range(40):
+        f = random_qpoly(rng, max_position_degree=2, max_terms=3, include_params=True)
+        g = random_qpoly(rng, max_position_degree=2, max_terms=3, include_params=True)
+        # a..d and nu keep their variable indices as generator positions.
+        used = sorted({var_index(v) for v in f.variables_used() | g.variables_used()}
+                      | set(range(5)))
+        sf, sg = _to_sympy(f, used), _to_sympy(g, used)
+        assert _same(f * g, sf * sg, used)
+        assert _same(f - g, SympyQuaternion(*(x - y for x, y in zip(_parts(sf), _parts(sg)))), used)
+        for var in "abcd":
+            assert _same(f.partial(var), _diff(sf, SYMBOLS[var_index(var)]), used)
+        for base in (f, QPolynomial([f.terms()[0]])):
+            expected = _to_sympy(QPolynomial.constant(1), used)
+            for n in range(5):
+                assert _same(base ** n, expected, used)
+                expected = expected * _to_sympy(base, used)
+        assert _same(f.conjugate(), SympyQuaternion(sf.a, -sf.b, -sf.c, -sf.d), used)
+        for s in range(3):
+            assert _same(f.coefficient_of_nu_power(s), _nu_coefficient(sf, s), used)
+        assert _same(star(f, g), _sympy_star(_to_sympy(f), _to_sympy(g))), trial
+
+
+# --- properties ---------------------------------------------------------------
+
+_EXPONENTS = st.one_of(st.integers(0, 2), st.integers(0, EXPONENT_LIMIT), st.just(EXPONENT_LIMIT))
+_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+_POLYS = st.lists(st.tuples(st.tuples(*[_EXPONENTS] * len(VARIABLES)),
+                            st.builds(Quaternion, _RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS)),
+                  max_size=6).map(QPolynomial)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_POLYS)
+def test_canonical_text_round_trip_and_order(p):
+    assert evaluate_text(p.canonical_text()) == p
+    keys = [(sum(mono), mono) for mono, _ in p.terms()]
+    assert all(high > low for high, low in zip(keys, keys[1:]))

@@ -188,6 +188,16 @@ def test_associator_vanishes():
         assert associator(f, g, h).is_zero()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: StarConfig(nu=0.1),
+    lambda: ThetaSpec.numeric({"ab": 0.1}),
+    lambda: Q.evaluate({"a": 0.5, "b": 1, "c": 2, "d": Fraction(1, 3)}),
+], ids=["nu", "theta", "evaluate"])
+def test_float_inputs_are_rejected(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_theta_spec_validation():
     spec = ThetaSpec.numeric({"ab": Fraction(1, 2)})
     assert not spec.is_formal()
