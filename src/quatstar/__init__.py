@@ -9,7 +9,7 @@ and a verifier that checks a catalogue of encoded identities.
 
 from .errors import (DomainError, OracleDivergenceError, ParseError,
                      QuatstarError, UnknownIdentityError)
-from .quat import Quaternion, I, J, K, ONE, ZERO, commutator, quat_text, to_matrix
+from .quat import Quaternion, I, J, K, ONE, ZERO, commutator, quat_text
 from .poly import QPolynomial, VARIABLES, gen_q, gen_qbar
 from .star import (PAIRS, StarConfig, ThetaSpec, associator, poisson_bracket,
                    star, star_commutator, star_order_term)
@@ -24,7 +24,6 @@ __all__ = [
     "DomainError", "OracleDivergenceError", "ParseError", "QuatstarError",
     "UnknownIdentityError",
     "Quaternion", "I", "J", "K", "ONE", "ZERO", "commutator", "quat_text",
-    "to_matrix",
     "QPolynomial", "VARIABLES", "gen_q", "gen_qbar",
     "PAIRS", "StarConfig", "ThetaSpec", "associator", "poisson_bracket",
     "star", "star_commutator", "star_order_term",

@@ -24,6 +24,7 @@ from .errors import (DomainError, OracleDivergenceError, ParseError,
 from . import oracle as _oracle
 from . import verify as _verify
 from .expr import evaluate_text
+from .poly import QPolynomial
 from .star import PAIRS, StarConfig, ThetaSpec
 from .star import star as _engine_star
 
@@ -122,7 +123,7 @@ def _shrink_counterexample(f, g, config):
         for side in (0, 1):
             current = (f, g)[side]
             for mono, coeff in current.terms():
-                trimmed = current - _module_poly(mono, coeff)
+                trimmed = current - QPolynomial([(mono, coeff)])
                 candidate = (trimmed, g) if side == 0 else (f, trimmed)
                 if disagrees(*candidate):
                     f, g = candidate
@@ -131,11 +132,6 @@ def _shrink_counterexample(f, g, config):
             if changed:
                 break
     return f, g
-
-
-def _module_poly(mono, coeff):
-    from .poly import QPolynomial
-    return QPolynomial({mono: coeff})
 
 
 def _cmd_fuzz(args) -> int:

@@ -11,18 +11,11 @@ the result's denominator is 1).  The components x0..x3 read back as reduced
     i^2 = j^2 = k^2 = -1,   ij = k = -ji,   jk = i = -kj,   ki = j = -ik,
 
 conjugation negates the imaginary components (and reverses products), and
-the squared norm x0^2 + x1^2 + x2^2 + x3^2 is multiplicative.  Two exact
-matrix models are provided: the real 4x4 left-regular representation and
-the complex 2x2 representation
-
-    q  ->  [[x0 + x1 i, x2 + x3 i], [-x2 + x3 i, x0 - x1 i]]
-
-whose determinant is the squared norm.
+the squared norm x0^2 + x1^2 + x2^2 + x3^2 is multiplicative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -200,103 +193,3 @@ def quat_text(q: Quaternion) -> str:
     if n_parts == 1:
         return quat_parts_text(q)
     return f"({quat_parts_text(q)})"
-
-
-# --- matrix representations -------------------------------------------------
-
-@dataclass(frozen=True)
-class MatrixRep:
-    """A square matrix model of a quaternion.
-
-    kind "R4": entries are Fractions (the 4x4 left-regular representation).
-    kind "C2": entries are (real, imag) Fraction pairs (complex 2x2).
-    """
-
-    kind: str
-    entries: tuple
-
-    def __add__(self, other):
-        if not isinstance(other, MatrixRep) or other.kind != self.kind:
-            return NotImplemented
-        rows = tuple(
-            tuple(_entry_add(self.kind, a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-        return MatrixRep(self.kind, rows)
-
-    def __mul__(self, other):
-        if not isinstance(other, MatrixRep) or other.kind != self.kind:
-            return NotImplemented
-        n = len(self.entries)
-        cols = tuple(zip(*other.entries))
-        rows = []
-        for r in self.entries:
-            row = []
-            for c in cols:
-                acc = _entry_zero(self.kind)
-                for a, b in zip(r, c):
-                    acc = _entry_add(self.kind, acc, _entry_mul(self.kind, a, b))
-                row.append(acc)
-            rows.append(tuple(row))
-        assert len(rows) == n
-        return MatrixRep(self.kind, tuple(rows))
-
-    def det(self):
-        """Exact determinant (a Fraction for R4, a Fraction pair for C2)."""
-        return _det(self.kind, [list(r) for r in self.entries])
-
-
-def _entry_zero(kind):
-    return Fraction(0) if kind == "R4" else (Fraction(0), Fraction(0))
-
-
-def _entry_add(kind, a, b):
-    if kind == "R4":
-        return a + b
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _entry_sub(kind, a, b):
-    if kind == "R4":
-        return a - b
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _entry_mul(kind, a, b):
-    if kind == "R4":
-        return a * b
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _det(kind, rows):
-    # Laplace expansion along the first row; matrices here are at most 4x4.
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = _entry_zero(kind)
-    for col in range(n):
-        minor = [r[:col] + r[col + 1:] for r in rows[1:]]
-        term = _entry_mul(kind, rows[0][col], _det(kind, minor))
-        acc = _entry_add(kind, acc, term) if col % 2 == 0 else _entry_sub(kind, acc, term)
-    return acc
-
-
-def to_matrix(q: Quaternion, kind: str) -> MatrixRep:
-    """Embed q as a matrix; kind is "R4" or "C2"."""
-    a, b, c, d = q.components()
-    if kind == "R4":
-        rows = (
-            (a, -b, -c, -d),
-            (b, a, -d, c),
-            (c, d, a, -b),
-            (d, -c, b, a),
-        )
-        return MatrixRep("R4", rows)
-    if kind == "C2":
-        rows = (
-            ((a, b), (c, d)),
-            ((-c, d), (a, -b)),
-        )
-        return MatrixRep("C2", rows)
-    from .errors import DomainError
-    raise DomainError(f"unknown matrix representation kind {kind!r}")

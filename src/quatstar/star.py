@@ -67,21 +67,28 @@ class ThetaSpec:
 
     values: tuple | None = None
 
+    def __post_init__(self):
+        if self.values is not None:
+            if not isinstance(self.values, tuple) or len(self.values) != len(PAIRS):
+                raise DomainError(f"Theta values are a tuple of six rationals, got {self.values!r}")
+            object.__setattr__(self, "values", tuple(
+                exact_rational(value, f"Theta_{pair}") for pair, value in zip(PAIRS, self.values)))
+
     @classmethod
     def formal(cls) -> "ThetaSpec":
         return cls(None)
 
     @classmethod
     def zero(cls) -> "ThetaSpec":
-        return cls((Fraction(0),) * 6)
+        return cls((0,) * 6)
 
     @classmethod
     def numeric(cls, mapping) -> "ThetaSpec":
-        values = [Fraction(0)] * 6
+        values = [0] * 6
         for pair, value in mapping.items():
             if pair not in _PAIR_INDICES:
                 raise DomainError(f"unknown bracket pair {pair!r}")
-            values[PAIRS.index(pair)] = exact_rational(value, f"Theta_{pair}")
+            values[PAIRS.index(pair)] = value
         return cls(tuple(values))
 
     def is_formal(self) -> bool:
@@ -103,10 +110,13 @@ class StarConfig:
     order_cap: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.theta, ThetaSpec):
+            raise DomainError(f"theta must be a ThetaSpec, got {self.theta!r}")
         if self.nu != "formal":
             object.__setattr__(self, "nu", exact_rational(self.nu, "nu"))
-        if self.order_cap is not None and self.order_cap < 0:
-            raise DomainError("order_cap must be non-negative")
+        cap = self.order_cap
+        if cap is not None and (not isinstance(cap, int) or cap < 0):
+            raise DomainError(f"order_cap must be None or a non-negative int, got {cap!r}")
 
 
 DEFAULT_CONFIG = StarConfig()

@@ -8,12 +8,15 @@ computed from the engine value:
     MISMATCH        it does not (a witness point or subterm is attached)
     NOT_COMPARABLE  reserved for claims with no well-defined encoded value
 
-Every polynomial-level claim is evaluated twice, once through the star
-engine and once through the independent oracle; the two must agree or the
-run aborts (OracleDivergenceError) — a divergence is an internal bug, never
-a statement about the source material.  Inequality-flavored claims are
-checked by searching for a concrete witness among the source's own
-operands: MATCH means the inequality holds and a witness is recorded.
+A polynomial (in)equation is evaluated twice, through the star engine and
+through the independent oracle; the two must agree or the run aborts
+(OracleDivergenceError), an internal bug, never a statement about the
+source material.  The 15 quaternion-level records (V1-V3, the V4 algebra
+laws and V4.fn_assoc) use `Quaternion`/`QPolynomial` arithmetic alone and
+never reach the oracle.  An existential claim searches fixed candidates
+built from the source's own operands, screening each with the engine alone;
+MATCH means a witness was found, and only that witness is re-checked through
+both routes, so a search that ends in MISMATCH (V11.4) rests on the engine.
 
 Chain equations are split into one record per consecutive pairwise
 equality (plus a head-equals-closed-form record per chain), so one wrong
@@ -122,18 +125,16 @@ def _point_witness(lhs_val, rhs_val, lhs_label, rhs_label):
         return (f"values differ everywhere: {lhs_label} = "
                 f"{lhs_val.canonical_text()}, {rhs_label} = "
                 f"{rhs_val.canonical_text()}")
-    candidates = [{n: _CANONICAL_POINT[n] for n in names}]
-    rng = Random(99)
-    candidates.extend(_oracle.random_point(rng, names) for _ in range(40))
-    for point in candidates:
-        lv = lhs_val.evaluate(point)
-        rv = rhs_val.evaluate(point)
-        if lv != rv:
-            assign = ", ".join(f"{n} = {point[n]}" for n in names)
-            return (f"at {assign}: {lhs_label} = {quat_text(lv)}, "
-                    f"{rhs_label} = {quat_text(rv)}")
-    diff = lhs_val - rhs_val
-    return f"difference = {diff.canonical_text()}"
+    point = {n: _CANONICAL_POINT[n] for n in names}
+    lv, rv = lhs_val.evaluate(point), rhs_val.evaluate(point)
+    if lv == rv:
+        point = _oracle.find_disagreement_point(lhs_val, rhs_val, trials=40, seed=99)
+        if point is None:
+            return f"difference = {(lhs_val - rhs_val).canonical_text()}"
+        lv, rv = lhs_val.evaluate(point), rhs_val.evaluate(point)
+    assign = ", ".join(f"{n} = {point[n]}" for n in names)
+    return (f"at {assign}: {lhs_label} = {quat_text(lv)}, "
+            f"{rhs_label} = {quat_text(rv)}")
 
 
 def _seed_for(rid: str) -> int:
@@ -142,30 +143,21 @@ def _seed_for(rid: str) -> int:
 
 # --- record builders ----------------------------------------------------------
 
-def _poly_eq(rid, loc, lhs, rhs, claim=None):
+def _poly_claim(rid, loc, lhs, rhs, claim=None, equal=True):
+    """lhs = rhs, or lhs != rhs when not `equal`.  The engine value is lhs
+    (its difference with rhs for an inequation); whenever the two sides
+    differ a separating point is the witness."""
     def build():
         lv = _checked_eval(lhs)
         rv = _checked_eval(rhs)
-        record = IdentityRecord(rid, loc, claim or f"{lhs} = {rhs}",
-                                lv.canonical_text(),
-                                MATCH if lv == rv else MISMATCH)
-        if record.status == MISMATCH:
+        differ = lv != rv
+        relation = "=" if equal else "!="
+        record = IdentityRecord(rid, loc, claim or f"{lhs} {relation} {rhs}",
+                                (lv if equal else lv - rv).canonical_text(),
+                                MATCH if differ != equal else MISMATCH)
+        if differ:
             record.witness = _point_witness(lv, rv, lhs, rhs)
-        return record
-    return rid, build
-
-
-def _poly_neq(rid, loc, lhs, rhs, claim=None):
-    def build():
-        lv = _checked_eval(lhs)
-        rv = _checked_eval(rhs)
-        diff = lv - rv
-        record = IdentityRecord(rid, loc, claim or f"{lhs} != {rhs}",
-                                diff.canonical_text(),
-                                MATCH if not diff.is_zero() else MISMATCH)
-        if record.status == MATCH:
-            record.witness = _point_witness(lv, rv, lhs, rhs)
-        else:
+        elif not equal:
             record.witness = (f"{lhs} and {rhs} are identical as polynomials; "
                               f"the difference is 0 everywhere")
         return record
@@ -179,16 +171,14 @@ def _exists_search(rid, loc, claim, candidates):
     first one found (fixed order) is the recorded witness.
     """
     def build():
-        count = 0
         for desc, lhs, rhs in candidates:
-            count += 1
             if _engine_eval(lhs) != _engine_eval(rhs):
                 lv = _checked_eval(lhs)
                 rv = _checked_eval(rhs)
-                diff = lv - rv
                 witness = f"{desc}: {_point_witness(lv, rv, lhs, rhs)}"
-                return IdentityRecord(rid, loc, claim, diff.canonical_text(),
+                return IdentityRecord(rid, loc, claim, (lv - rv).canonical_text(),
                                       MATCH, witness)
+        count = len(candidates)
         return IdentityRecord(
             rid, loc, claim,
             f"both sides equal on all {count} candidate substitutions",
@@ -202,24 +192,35 @@ def _fmt_value(value) -> str:
     return quat_text(value) if isinstance(value, Quaternion) else str(value)
 
 
-def _quat_forall(rid, loc, claim, arity, check, nonzero=False,
-                 samples=24, reals_only=False):
+def _tuple_witness(args, lhs_label, lv, rhs_label, rv) -> str:
+    names = ", ".join(f"q{idx + 1} = {quat_text(x)}" for idx, x in enumerate(args))
+    return f"{names}: {lhs_label} = {_fmt_value(lv)}, {rhs_label} = {_fmt_value(rv)}"
+
+
+_RANDOM_TUPLES = 24
+
+
+def _arg_tuples(rid, arity, reals_only=False):
+    """The argument tuples of a quaternion-level claim: the unit group's
+    `arity`-tuples, or five fixed reals as 1-tuples when `reals_only`, then
+    seeded random ones of the same kind."""
+    rng = Random(_seed_for(rid))
+    if reals_only:
+        pool = [Quaternion(v) for v in (1, -1, 2, Fraction(-3, 2), 0)]
+        pool += [Quaternion(_oracle.random_rational(rng)) for _ in range(_RANDOM_TUPLES)]
+        return [(x,) for x in pool]
+    tuples = list(itertools.product(GROUP_ELEMENTS, repeat=arity))
+    tuples += [tuple(_oracle.random_quaternion(rng) for _ in range(arity))
+               for _ in range(_RANDOM_TUPLES)]
+    return tuples
+
+
+def _quat_forall(rid, loc, claim, arity, check, nonzero=False, reals_only=False):
     """Universal quaternion-level claim; `check(args)` returns None or a
-    witness string.  Arguments run over the unit group plus seeded randoms."""
+    witness string."""
     def build():
-        rng = Random(_seed_for(rid))
-        if reals_only:
-            base = [Quaternion(v) for v in (1, -1, 2, Fraction(-3, 2), 0)]
-            extra = [Quaternion(_oracle.random_rational(rng)) for _ in range(samples)]
-            pool = base + extra
-            tuples = [(x,) for x in pool]
-        else:
-            tuples = list(itertools.product(GROUP_ELEMENTS, repeat=arity))
-            for _ in range(samples):
-                tuples.append(tuple(_oracle.random_quaternion(rng)
-                                    for _ in range(arity)))
         checked = 0
-        for args in tuples:
+        for args in _arg_tuples(rid, arity, reals_only):
             if nonzero and any(x.is_zero() for x in args):
                 continue
             checked += 1
@@ -238,19 +239,11 @@ def _quat_exists(rid, loc, claim, arity, differ):
     """Existential quaternion-level claim; `differ(args)` returns a pair of
     unequal values (rendered into the witness) or None."""
     def build():
-        rng = Random(_seed_for(rid))
-        tuples = list(itertools.product(GROUP_ELEMENTS, repeat=arity))
-        for _ in range(24):
-            tuples.append(tuple(_oracle.random_quaternion(rng) for _ in range(arity)))
-        for args in tuples:
+        for args in _arg_tuples(rid, arity):
             outcome = differ(args)
             if outcome is not None:
-                lhs_label, lv, rhs_label, rv = outcome
-                names = ", ".join(f"q{idx + 1} = {quat_text(x)}"
-                                  for idx, x in enumerate(args))
-                witness = (f"{names}: {lhs_label} = {_fmt_value(lv)}, "
-                           f"{rhs_label} = {_fmt_value(rv)}")
-                return IdentityRecord(rid, loc, claim, _fmt_value(lv), MATCH, witness)
+                return IdentityRecord(rid, loc, claim, _fmt_value(outcome[1]), MATCH,
+                                      _tuple_witness(args, *outcome))
         return IdentityRecord(rid, loc, claim,
                               "no counterexample among sampled tuples", MISMATCH,
                               witness="every sampled argument tuple satisfies equality")
@@ -261,11 +254,7 @@ def _eq_check(lhs_fn, rhs_fn, lhs_label, rhs_label):
     def check(args):
         lv = lhs_fn(*args)
         rv = rhs_fn(*args)
-        if lv == rv:
-            return None
-        names = ", ".join(f"q{idx + 1} = {quat_text(x)}" for idx, x in enumerate(args))
-        return (f"{names}: {lhs_label} = {_fmt_value(lv)}, "
-                f"{rhs_label} = {_fmt_value(rv)}")
+        return None if lv == rv else _tuple_witness(args, lhs_label, lv, rhs_label, rv)
     return check
 
 
@@ -293,12 +282,12 @@ def _build_registry():
         reals_only=True))
 
     # V2: norm laws.
-    entries.append(_poly_eq("V2.norm_qqbar", "Eq. (4)",
-                            "q qbar", "a^2 + b^2 + c^2 + d^2",
-                            claim="|q|^2 = q qbar"))
-    entries.append(_poly_eq("V2.norm_qbarq", "Eq. (4)",
-                            "qbar q", "a^2 + b^2 + c^2 + d^2",
-                            claim="|q|^2 = qbar q"))
+    entries.append(_poly_claim("V2.norm_qqbar", "Eq. (4)",
+                               "q qbar", "a^2 + b^2 + c^2 + d^2",
+                               claim="|q|^2 = q qbar"))
+    entries.append(_poly_claim("V2.norm_qbarq", "Eq. (4)",
+                               "qbar q", "a^2 + b^2 + c^2 + d^2",
+                               claim="|q|^2 = qbar q"))
     entries.append(_quat_forall(
         "V2.norm_conj", "Eq. (4)", "|q1| = |conj(q1)|", 1,
         _eq_check(lambda x: x.norm_sq(), lambda x: x.conj().norm_sq(),
@@ -371,22 +360,17 @@ def _build_registry():
          for f, g in itertools.permutations(fn_pool, 2)]))
 
     def fn_assoc_build():
-        rid = "V4.fn_assoc"
+        rid, claim = "V4.fn_assoc", "(f g) h = f (g h) for functions f, g, h"
         rng = Random(_seed_for(rid))
         trials = 30
         for _ in range(trials):
-            f = _oracle.random_qpoly(rng, max_position_degree=2, max_terms=3)
-            g = _oracle.random_qpoly(rng, max_position_degree=2, max_terms=3)
-            h = _oracle.random_qpoly(rng, max_position_degree=2, max_terms=3)
+            f, g, h = (_oracle.random_qpoly(rng, max_position_degree=2, max_terms=3)
+                       for _ in range(3))
             if (f * g) * h != f * (g * h):
-                witness = (f"f = {f}, g = {g}, h = {h}")
-                return IdentityRecord(rid, "Eq. (7)",
-                                      "(f g) h = f (g h) for functions f, g, h",
-                                      witness, MISMATCH, witness)
-        return IdentityRecord(rid, "Eq. (7)",
-                              "(f g) h = f (g h) for functions f, g, h",
-                              f"holds on all {trials} random polynomial triples",
-                              MATCH)
+                witness = f"f = {f}, g = {g}, h = {h}"
+                return IdentityRecord(rid, "Eq. (7)", claim, witness, MISMATCH, witness)
+        return IdentityRecord(rid, "Eq. (7)", claim,
+                              f"holds on all {trials} random polynomial triples", MATCH)
 
     entries.append(("V4.fn_assoc", fn_assoc_build))
 
@@ -404,14 +388,14 @@ def _build_registry():
     for (x, y), table in claimed_values.items():
         key = f"{x}{y}"
         for pair in PAIRS:
-            entries.append(_poly_eq(
+            entries.append(_poly_claim(
                 f"V5.{key}_{pair}", "Eq. (14)",
                 f"pb_{pair}({x}, {y})", table[pair]))
 
     # V6: the symplectic remark ("the pair of q and qbar ... shows the
     # symplectic structure"): {q,qbar}_mn = -{qbar,q}_mn.
     for pair in PAIRS:
-        entries.append(_poly_eq(
+        entries.append(_poly_claim(
             f"V6.{pair}", "Eq. (14), symplectic remark",
             f"pb_{pair}(q, qbar)", f"-pb_{pair}(qbar, q)"))
 
@@ -482,28 +466,28 @@ def _build_registry():
     for pair, exprs in chains.items():
         loc = f"Eq. (15), {pair} chain"
         for idx in range(len(exprs) - 1):
-            entries.append(_poly_eq(f"V7.{pair}.{idx + 1}", loc,
-                                    exprs[idx], exprs[idx + 1]))
-        entries.append(_poly_eq(f"V7.{pair}.value", loc, exprs[0], exprs[-1]))
+            entries.append(_poly_claim(f"V7.{pair}.{idx + 1}", loc,
+                                       exprs[idx], exprs[idx + 1]))
+        entries.append(_poly_claim(f"V7.{pair}.value", loc, exprs[0], exprs[-1]))
 
     # V8: the four basic star products.
-    entries.append(_poly_eq(
+    entries.append(_poly_claim(
         "V8.1", "Eq. (16)", "star(q, q)",
         "q^2 + nu (k Theta_bc - j Theta_bd + i Theta_cd)"))
-    entries.append(_poly_eq(
+    entries.append(_poly_claim(
         "V8.2", "Eq. (16)", "star(q, qbar)",
         "q qbar - nu (i Theta_ab + j Theta_ac + k Theta_ad)"))
-    entries.append(_poly_eq(
+    entries.append(_poly_claim(
         "V8.3", "Eq. (16)", "star(qbar, q)",
         "qbar q + nu (i Theta_ab + j Theta_ac + k Theta_ad)"))
-    entries.append(_poly_eq(
+    entries.append(_poly_claim(
         "V8.4", "Eq. (16)", "star(qbar, qbar)",
         "qbar^2 + nu (k Theta_bc - j Theta_bd + i Theta_cd)"))
 
     # V9: conjugation behavior of star products.
-    entries.append(_poly_neq(
-        "V9.1", "Eq. (17)", "conj(star(q, q))", "star(qbar, qbar)"))
-    entries.append(_poly_eq(
+    entries.append(_poly_claim(
+        "V9.1", "Eq. (17)", "conj(star(q, q))", "star(qbar, qbar)", equal=False))
+    entries.append(_poly_claim(
         "V9.2", "Eq. (17)", "conj(star(q, qbar))", "star(qbar, q)"))
     star_pool = ("q", "qbar", "q^2", "qbar^2")
     entries.append(_exists_search(
@@ -562,14 +546,14 @@ def _build_registry():
          " + Theta_bd (-2 j a + k b - i d) + Theta_cd (2 i a + k c - j d))"),
     ]
     for rid, lhs, rhs in eq18:
-        entries.append(_poly_eq(rid, "Eq. (18)", lhs, rhs))
-    entries.append(_poly_neq(
-        "V10.9", "Eq. (18), remark", "star(q^2, q)", "star(q, q^2)"))
+        entries.append(_poly_claim(rid, "Eq. (18)", lhs, rhs))
+    entries.append(_poly_claim(
+        "V10.9", "Eq. (18), remark", "star(q^2, q)", "star(q, q^2)", equal=False))
 
     # V11: broken associativity, plus the Jacobi remark.
-    entries.append(_poly_neq("V11.1", "Eq. (19)", "assoc(q, q, q)", "0"))
-    entries.append(_poly_neq("V11.2", "Eq. (19)", "assoc(q, q, qbar)", "0"))
-    entries.append(_poly_neq("V11.3", "Eq. (19)", "assoc(q, qbar, q)", "0"))
+    entries.append(_poly_claim("V11.1", "Eq. (19)", "assoc(q, q, q)", "0", equal=False))
+    entries.append(_poly_claim("V11.2", "Eq. (19)", "assoc(q, q, qbar)", "0", equal=False))
+    entries.append(_poly_claim("V11.3", "Eq. (19)", "assoc(q, qbar, q)", "0", equal=False))
     assoc_pool = ("q", "qbar", "q^2", "i q", "j q")
     entries.append(_exists_search(
         "V11.4", "Eq. (19)",
@@ -591,13 +575,14 @@ def _build_registry():
         "the Jacobi identity fails for some f, g, h and pair mn",
         jacobi_candidates))
 
-    return entries
+    return dict(entries)
 
 
 _REGISTRY = None
 
 
-def _registry():
+def _registry() -> dict:
+    """Identity id -> record builder, in catalogue order."""
     global _REGISTRY
     if _REGISTRY is None:
         _REGISTRY = _build_registry()
@@ -612,32 +597,33 @@ COVERAGE = {
 
 
 def identity_ids() -> list:
-    return [rid for rid, _ in _registry()]
+    return list(_registry())
+
+
+def _unknown_id(token: str) -> UnknownIdentityError:
+    return UnknownIdentityError(
+        f"unknown identity id {token!r}; valid ids: {', '.join(_registry())}")
 
 
 def run_identity(rid: str) -> IdentityRecord:
-    for known, build in _registry():
-        if known == rid:
-            return build()
-    raise UnknownIdentityError(
-        f"unknown identity id {rid!r}; valid ids: {', '.join(identity_ids())}")
+    build = _registry().get(rid)
+    if build is None:
+        raise _unknown_id(rid)
+    return build()
 
 
 def run_matching(token: str) -> list:
     """Records whose id equals the token or falls under it as a group prefix."""
-    matches = [build for rid, build in _registry()
+    matches = [build for rid, build in _registry().items()
                if rid == token or rid.startswith(token + ".")]
     if not matches:
-        raise UnknownIdentityError(
-            f"unknown identity id {token!r}; valid ids: {', '.join(identity_ids())}")
+        raise _unknown_id(token)
     return [build() for build in matches]
 
 
 def run_all() -> DiscrepancyReport:
-    report = DiscrepancyReport(ENGINE_VERSION)
-    for _, build in _registry():
-        report.records.append(build())
-    return report
+    return DiscrepancyReport(ENGINE_VERSION,
+                             [build() for build in _registry().values()])
 
 
 # --- rendering ----------------------------------------------------------------
@@ -656,20 +642,13 @@ def render_report(report: DiscrepancyReport, format: str = "text") -> str:
         f"summary: {summary['match']} MATCH, {summary['mismatch']} MISMATCH, "
         f"{summary['not_comparable']} NOT_COMPARABLE",
     ]
-    groups = []
     grouped = {}
     for record in report.records:
-        group = record.id.split(".")[0]
-        if group not in grouped:
-            grouped[group] = []
-            groups.append(group)
-        grouped[group].append(record)
-    for group in groups:
+        grouped.setdefault(record.id.split(".")[0], []).append(record)
+    for group, records in grouped.items():
         lines.append("")
         lines.append(f"== {group} ==")
-        ordered = sorted(grouped[group],
-                         key=lambda r: _STATUS_RANK[r.status])
-        for record in ordered:
+        for record in sorted(records, key=lambda r: _STATUS_RANK[r.status]):
             lines.append(f"{record.status:<9} {record.id}  [{record.paper_location}]")
             lines.append(f"    claim:  {record.claim_text}")
             lines.append(f"    engine: {record.engine_value}")
@@ -677,13 +656,3 @@ def render_report(report: DiscrepancyReport, format: str = "text") -> str:
                 lines.append(f"    witness: {record.witness}")
     lines.append("")
     return "\n".join(lines)
-
-
-def report_from_json(text: str) -> DiscrepancyReport:
-    data = json.loads(text)
-    records = [IdentityRecord(
-        id=item["id"], paper_location=item["paper_location"],
-        claim_text=item["claim_text"], engine_value=item["engine_value"],
-        status=item["status"], witness=item.get("witness"))
-        for item in data["records"]]
-    return DiscrepancyReport(data["engine_version"], records)

@@ -15,9 +15,10 @@ import quatstar.cli as cli
 import quatstar.oracle as oracle
 from quatstar.expr import evaluate_text
 from quatstar.poly import QPolynomial
-from quatstar.quat import ONE, Quaternion, to_matrix
+from quatstar.quat import ONE, Quaternion
 from quatstar.star import PAIRS, associator, poisson_bracket, star
 from quatstar.verify import COVERAGE, MATCH, MISMATCH, identity_ids
+from refimpl import c2
 
 POSITIONS = ("a", "b", "c", "d")
 
@@ -82,8 +83,8 @@ def _group_table_ok():
             if qx * qy != expected:
                 return False
             # Independent model: the product must commute with the faithful
-            # 2x2 complex representation.
-            if to_matrix(qx * qy, "C2") != to_matrix(qx, "C2") * to_matrix(qy, "C2"):
+            # 2x2 complex representation, multiplied by sympy.
+            if c2(qx * qy) != (c2(qx) * c2(qy)).expand():
                 return False
     return True
 

@@ -204,3 +204,17 @@ def test_theta_spec_validation():
     assert ThetaSpec.formal().is_formal()
     with pytest.raises(DomainError):
         ThetaSpec.numeric({"zz": 1})
+    # directly built values are stored as Fractions, as numeric() stores them
+    assert all(type(value) is Fraction for value in ThetaSpec((1, 0, 0, 0, 0, -2)).values)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: star(Q ** 3, Q ** 3, StarConfig(order_cap=1.5)),
+    lambda: StarConfig(order_cap="2"),
+    lambda: star(Q, Q, StarConfig(theta=ThetaSpec((0.5,) * 6))),
+    lambda: ThetaSpec((1, 2)),
+    lambda: StarConfig(theta=None),
+], ids=["float-cap", "text-cap", "float-theta", "short-theta", "no-theta"])
+def test_bad_configs_are_domain_errors(build):
+    with pytest.raises(DomainError):
+        build()
