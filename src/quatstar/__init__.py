@@ -13,7 +13,7 @@ from .quat import Quaternion, I, J, K, ONE, ZERO, commutator, quat_text
 from .poly import QPolynomial, VARIABLES, gen_q, gen_qbar
 from .star import (PAIRS, StarConfig, ThetaSpec, associator, poisson_bracket,
                    star, star_commutator, star_order_term)
-from .oracle import poisson_bracket_oracle, random_point_check, star_oracle
+from .oracle import poisson_bracket_oracle, star_oracle
 from .expr import evaluate_text, parse_expression
 from .verify import (DiscrepancyReport, IdentityRecord, render_report,
                      run_all, run_identity)
@@ -27,7 +27,7 @@ __all__ = [
     "QPolynomial", "VARIABLES", "gen_q", "gen_qbar",
     "PAIRS", "StarConfig", "ThetaSpec", "associator", "poisson_bracket",
     "star", "star_commutator", "star_order_term",
-    "poisson_bracket_oracle", "random_point_check", "star_oracle",
+    "poisson_bracket_oracle", "star_oracle",
     "evaluate_text", "parse_expression",
     "DiscrepancyReport", "IdentityRecord", "render_report", "run_all",
     "run_identity",

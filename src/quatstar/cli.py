@@ -69,6 +69,13 @@ def _parse_nu(text: str):
         raise ValueError(f"bad rational value {text!r} for --nu")
 
 
+def _count(text: str) -> int:
+    """argparse type of the fuzz counts: a non-negative int."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
+    return int(text)
+
+
 def _config_from_args(args) -> StarConfig:
     return StarConfig(theta=_parse_theta(args.theta),
                       nu=_parse_nu(args.nu),
@@ -203,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_fuzz = sub.add_parser("fuzz", help="differential-test the star engine")
-    p_fuzz.add_argument("--trials", type=int, default=200)
+    p_fuzz.add_argument("--trials", type=_count, default=200)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--max-degree", type=int, default=4)
+    p_fuzz.add_argument("--max-degree", type=_count, default=4)
     p_fuzz.add_argument("--params", action="store_true",
                         help="let random operands include nu and Theta factors")
     _add_config_flags(p_fuzz)
@@ -230,10 +237,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnknownIdentityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UnknownIdentityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:

@@ -10,10 +10,12 @@ the exponent,
     (c,d,+T_cd), (d,c,-T_cd),
 
 applying the left index to the left operand and the right index to the
-right operand.  The walk is a plain depth-first enumeration that abandons
-a branch once either iterated derivative vanishes.  It shares only the
-polynomial primitives (partial, add, mul) with the main engine — no tensor
-state, no merging — so agreement between the two routes is meaningful.
+right operand.  The walk is a plain depth-first enumeration on an explicit
+stack that abandons a branch once either iterated derivative vanishes, so
+the series ends where its last branch dies (or at the order cap).  It
+shares only the polynomial primitives (partial, add, mul) with the main
+engine — no tensor state, no merging, no degree bound — so agreement
+between the two routes is meaningful.
 
 The same module hosts the seeded random generators used by the fuzz
 harness and the randomized identity checks: rational values have
@@ -26,6 +28,7 @@ from fractions import Fraction
 from math import factorial
 from random import Random
 
+from .errors import DomainError
 from .poly import QPolynomial, N_VARS, NU, VARIABLES
 from .quat import Quaternion
 from .star import PAIRS, StarConfig, ThetaSpec, DEFAULT_CONFIG, pair_indices
@@ -49,48 +52,36 @@ def _signed_steps(theta: ThetaSpec):
     return steps
 
 
-def _order_cap(f, g, config):
-    cap = min(f.position_degree(), g.position_degree())
-    if cap < 0:
-        cap = 0
-    if config.order_cap is not None:
-        cap = min(cap, config.order_cap)
-    return cap
+def _order_sums(f, g, theta, cap):
+    """Raw sums over ordered pair sequences, by length; index 0 is f*g.
 
-
-def _order_sums(f, g, theta, smax):
-    """Raw sums over ordered pair sequences, by length; index 0 is f*g."""
-    sums = [f * g] + [QPolynomial.zero() for _ in range(smax)]
-    if smax < 1:
-        return sums
+    The list ends at the deepest order a branch reaches, or at `cap` when
+    it is not None."""
+    sums = [f * g]
     steps = _signed_steps(theta)
-    if not steps:
-        return sums
-
-    def walk(depth, fd, gd, weight):
+    stack = [(0, f, g, QPolynomial.constant(1))] if steps and cap != 0 else []
+    while stack:
+        depth, fd, gd, weight = stack.pop()
+        fds = [fd.partial(var) for var in range(4)]
+        gds = [gd.partial(var) for var in range(4)]
         for m, n, w in steps:
-            fd2 = fd.partial(m)
-            if fd2.is_zero():
-                continue
-            gd2 = gd.partial(n)
-            if gd2.is_zero():
+            fd2, gd2 = fds[m], gds[n]
+            if fd2.is_zero() or gd2.is_zero():
                 continue
             w2 = weight * w
+            if depth + 1 == len(sums):
+                sums.append(QPolynomial.zero())
             sums[depth + 1] = sums[depth + 1] + (fd2 * gd2) * w2
-            if depth + 1 < smax:
-                walk(depth + 1, fd2, gd2, w2)
-
-    walk(0, f, g, QPolynomial.constant(1))
+            if cap is None or depth + 1 < cap:
+                stack.append((depth + 1, fd2, gd2, w2))
     return sums
 
 
 def star_oracle(f: QPolynomial, g: QPolynomial,
                 config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """The star product computed by literal series enumeration."""
-    smax = _order_cap(f, g, config)
-    if config.nu != "formal" and config.nu == 0:
-        smax = 0
-    sums = _order_sums(f, g, config.theta, smax)
+    zero_nu = config.nu != "formal" and config.nu == 0
+    sums = _order_sums(f, g, config.theta, 0 if zero_nu else config.order_cap)
     result = sums[0]
     for s in range(1, len(sums)):
         term = sums[s] * Fraction(1, factorial(s) * 2 ** s)
@@ -105,11 +96,13 @@ def star_oracle(f: QPolynomial, g: QPolynomial,
 def star_oracle_order(f: QPolynomial, g: QPolynomial, s: int,
                       config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """Coefficient of nu^s in the oracle's expansion (nu kept formal)."""
-    if s == 0:
-        return f * g
-    if s > _order_cap(f, g, config):
+    if s < 0:
+        raise DomainError("correction order must be non-negative")
+    if config.order_cap is not None and s > config.order_cap:
         return QPolynomial.zero()
     sums = _order_sums(f, g, config.theta, s)
+    if s >= len(sums):
+        return QPolynomial.zero()
     return sums[s] * Fraction(1, factorial(s) * 2 ** s)
 
 
@@ -158,13 +151,6 @@ def random_qpoly(rng: Random, max_position_degree: int = 4, max_terms: int = 4,
 
 def random_point(rng: Random, names) -> dict:
     return {name: random_rational(rng) for name in names}
-
-
-def random_point_check(lhs: QPolynomial, rhs: QPolynomial,
-                       trials: int = 20, seed: int = 0) -> bool:
-    """Exact evaluation of both sides at random rational points; True if
-    they agreed at every sampled point."""
-    return find_disagreement_point(lhs, rhs, trials, seed) is None
 
 
 def find_disagreement_point(lhs: QPolynomial, rhs: QPolynomial,

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .quat import ONE, Quaternion, quat_parts_text, _UNIT_NAMES
+from .quat import ONE, Quaternion, quat_parts_text, _part_text, _UNIT_NAMES
 
 VARIABLES = ("a", "b", "c", "d", "nu",
              "Theta_ab", "Theta_ac", "Theta_ad",
@@ -181,9 +181,6 @@ class QPolynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __len__(self):
         return len(self._terms)
@@ -388,14 +385,10 @@ def _term_text(mono: tuple, coeff: Quaternion):
         return False, f"{body} {mtext}" if mtext else body
     idx = nonzero[0]
     value = comps[idx]
-    unit = _UNIT_NAMES[idx]
-    mag = abs(value)
-    if unit:
-        coeff_body = unit if mag == 1 else f"{mag} {unit}"
-    elif mag == 1 and mtext:
+    if not idx and abs(value) == 1 and mtext:
         coeff_body = ""
     else:
-        coeff_body = str(mag)
+        coeff_body = _part_text(value, _UNIT_NAMES[idx])
     if coeff_body and mtext:
         return value < 0, f"{coeff_body} {mtext}"
     return value < 0, coeff_body or mtext

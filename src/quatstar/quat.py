@@ -83,12 +83,7 @@ class Quaternion:
     def __sub__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        d, e = self.den, other.den
-        if d == e:
-            return _quat(self.n0 - other.n0, self.n1 - other.n1,
-                         self.n2 - other.n2, self.n3 - other.n3, d)
-        return _quat(self.n0 * e - other.n0 * d, self.n1 * e - other.n1 * d,
-                     self.n2 * e - other.n2 * d, self.n3 * e - other.n3 * d, d * e)
+        return self + -other
 
     def __neg__(self):
         return _quat(-self.n0, -self.n1, -self.n2, -self.n3, self.den)
@@ -104,10 +99,8 @@ class Quaternion:
                      a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
                      self.den * other.den)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    # A rational is central, so it scales from either side.
+    __rmul__ = __mul__
 
     def scale(self, factor) -> "Quaternion":
         f = _rational(factor)

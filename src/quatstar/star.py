@@ -127,7 +127,7 @@ def _theta_factors(theta: ThetaSpec):
 
     Pair mn contributes value * theta_mono * (d_m (x) d_n - d_n (x) d_m) to
     B: formal Theta gives the Theta_mn monomial and value 1, numeric Theta
-    gives no monomial (None) and the pair's value.
+    gives the unit monomial and the pair's value.
     """
     factors = []
     for pos, pair in enumerate(PAIRS):
@@ -135,7 +135,7 @@ def _theta_factors(theta: ThetaSpec):
         if theta.is_formal():
             factors.append((m, n, var_mono(_PAIR_THETA[pair]), 1))
         elif theta.values[pos]:
-            factors.append((m, n, None, theta.values[pos]))
+            factors.append((m, n, ZERO_MONO, theta.values[pos]))
     return factors
 
 
@@ -157,7 +157,6 @@ def _correction_terms(f, g, theta, max_order):
     factors = _theta_factors(theta)
     if not factors:
         return
-    formal = theta.is_formal()
     df, dg = {ZERO_MONO: f}, {ZERO_MONO: g}
     state = {(ZERO_MONO, ZERO_MONO): {ZERO_MONO: 1}}
     for s in range(1, max_order + 1):
@@ -179,8 +178,7 @@ def _correction_terms(f, g, theta, max_order):
                         continue
                     target = new_state.setdefault((a2, b2), {})
                     for mono, coeff in weight.items():
-                        if formal:
-                            mono = mono_mul(mono, theta_mono)
+                        mono = mono_mul(mono, theta_mono)
                         merged = target.get(mono, 0) + coeff * signed
                         if merged:
                             target[mono] = merged
@@ -194,17 +192,14 @@ def _correction_terms(f, g, theta, max_order):
             product = df[alpha] * dg[beta]
             for mono, coeff in product.items():
                 for wmono, value in weight.items():
-                    add_term(term, mono_mul(mono, wmono) if formal else mono,
-                             coeff.scale(value))
+                    add_term(term, mono_mul(mono, wmono), coeff.scale(value))
         yield s, term
 
 
 def _add_scaled(data, term, factor, nu_mono):
-    """Add factor * nu_mono * term into the term dict `data` in place
-    (nu_mono None: no monomial factor)."""
+    """Add factor * nu_mono * term into the term dict `data` in place."""
     for mono, coeff in term.items():
-        add_term(data, mono if nu_mono is None else mono_mul(mono, nu_mono),
-                 coeff.scale(factor))
+        add_term(data, mono_mul(mono, nu_mono), coeff.scale(factor))
 
 
 def _prefactor(s):
@@ -221,7 +216,7 @@ def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) ->
         if config.nu == "formal":
             _add_scaled(data, term, _prefactor(s), var_mono(NU, s))
         else:
-            _add_scaled(data, term, _prefactor(s) * config.nu ** s, None)
+            _add_scaled(data, term, _prefactor(s) * config.nu ** s, ZERO_MONO)
     return QPolynomial.from_terms(data)
 
 
@@ -236,7 +231,7 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
     if s <= _natural_cap(f, g, config):
         for order, term in _correction_terms(f, g, config.theta, s):
             if order == s:
-                _add_scaled(data, term, _prefactor(s), None)
+                _add_scaled(data, term, _prefactor(s), ZERO_MONO)
     return QPolynomial.from_terms(data)
 
 

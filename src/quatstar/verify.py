@@ -25,6 +25,7 @@ link cannot poison its neighbours.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import zlib
@@ -56,16 +57,7 @@ class IdentityRecord:
     witness: str | None = None
 
     def to_dict(self) -> dict:
-        data = {
-            "id": self.id,
-            "paper_location": self.paper_location,
-            "claim_text": self.claim_text,
-            "engine_value": self.engine_value,
-            "status": self.status,
-        }
-        if self.witness is not None:
-            data["witness"] = self.witness
-        return data
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 @dataclass
@@ -260,7 +252,9 @@ def _eq_check(lhs_fn, rhs_fn, lhs_label, rhs_label):
 
 # --- the encoded identity registry -------------------------------------------
 
-def _build_registry():
+@functools.cache
+def _registry() -> dict:
+    """Identity id -> record builder, in catalogue order."""
     entries = []
 
     # V1: conjugation rules, encoded as recorded (no product reversal).
@@ -576,17 +570,6 @@ def _build_registry():
         jacobi_candidates))
 
     return dict(entries)
-
-
-_REGISTRY = None
-
-
-def _registry() -> dict:
-    """Identity id -> record builder, in catalogue order."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-    return _REGISTRY
 
 
 # Expected record count per group; the test suite asserts this coverage.

@@ -47,6 +47,16 @@ def test_eval_oracle_backend(capsys):
     assert out.strip() == "k nu Theta_bc - j nu Theta_bd + i nu Theta_cd"
 
 
+def test_oracle_runs_past_the_recursion_limit(capsys):
+    """1,100 nested orders, more than Python's default recursion limit."""
+    f, g = QPolynomial.variable("a") ** 1100, QPolynomial.variable("b") ** 1100
+    engine = star(f, g)
+    assert quatstar.oracle.star_oracle(f, g) == engine
+    code, out, _ = run_cli(capsys, "eval", "--backend", "oracle", "star(a^1100, b^1100)")
+    assert code == 0
+    assert out.strip() == engine.canonical_text()
+
+
 def test_eval_parse_error_reports_column(capsys):
     code, _, err = run_cli(capsys, "eval", "q +")
     assert code == 2
@@ -167,6 +177,14 @@ def test_fuzz_params_and_degree_flags(capsys):
                            "--max-degree", "2", "--params")
     assert code == 0
     assert "ok: 5 trials" in out
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--max-degree"])
+def test_fuzz_rejects_negative_counts(capsys, flag):
+    code, out, err = run_cli(capsys, "fuzz", flag, "-5")
+    assert code == 2
+    assert not out
+    assert f"argument {flag}: expected a non-negative int, got '-5'" in err
 
 
 def test_fuzz_counterexample_exit_code(capsys, monkeypatch):

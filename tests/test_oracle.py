@@ -3,10 +3,12 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+
+from quatstar.errors import DomainError
 from quatstar.oracle import (find_disagreement_point, poisson_bracket_oracle,
-                             random_point_check, random_qpoly,
-                             random_quaternion, random_rational, star_oracle,
-                             star_oracle_order)
+                             random_qpoly, random_quaternion, random_rational,
+                             star_oracle, star_oracle_order)
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec, poisson_bracket,
                            star, star_order_term)
@@ -106,6 +108,30 @@ def test_order_term_extraction():
     assert star_oracle(f, g, cancelling) == star(f, g, cancelling)
 
 
+@pytest.mark.parametrize("order_term", [star_order_term, star_oracle_order])
+def test_negative_order_is_domain_error(order_term):
+    with pytest.raises(DomainError, match="non-negative"):
+        order_term(Q, Q, -1)
+
+
+@pytest.mark.parametrize("full, order_term", [(star, star_order_term),
+                                              (star_oracle, star_oracle_order)])
+def test_star_properties_on_each_route(full, order_term):
+    """conj(f *_nu g) = conj(g) *_-nu conj(f), the nu^0 term is fg and the
+    nu^1 term is 1/2 sum_mn Theta_mn {f,g}_mn, each checked on one route."""
+    nu, minus_nu = StarConfig(nu=Fraction(3, 4)), StarConfig(nu=Fraction(-3, 4))
+    rng = Random(61)
+    for _ in range(40):
+        f = random_qpoly(rng, 3, 3, True)
+        g = random_qpoly(rng, 3, 3, True)
+        assert full(f, g, nu).conjugate() == full(g.conjugate(), f.conjugate(), minus_nu)
+        assert order_term(f, g, 0) == f * g
+        first = QPolynomial.zero()
+        for pair in PAIRS:
+            first = first + QPolynomial.variable("Theta_" + pair) * poisson_bracket(f, g, pair)
+        assert order_term(f, g, 1) == first * Fraction(1, 2)
+
+
 def test_bracket_oracle_matches_engine():
     rng = Random(53)
     for _ in range(10):
@@ -123,9 +149,8 @@ def test_bracket_oracle_handles_nu_laden_operands():
         assert poisson_bracket_oracle(f, g, pair) == poisson_bracket(f, g, pair)
 
 
-def test_random_point_check_separates_qq_from_qbarqbar():
-    assert random_point_check(Q * Q, Q * Q, trials=20, seed=1)
-    assert not random_point_check(Q * Q, QBAR * QBAR, trials=20, seed=1)
+def test_find_disagreement_point_separates_qq_from_qbarqbar():
+    assert find_disagreement_point(Q * Q, Q * Q, trials=20, seed=1) is None
     point = find_disagreement_point(Q * Q, QBAR * QBAR, trials=20, seed=1)
     assert point is not None
     assert (Q * Q).evaluate(point) != (QBAR * QBAR).evaluate(point)
