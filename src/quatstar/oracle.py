@@ -13,9 +13,9 @@ applying the left index to the left operand and the right index to the
 right operand.  The walk is a plain depth-first enumeration on an explicit
 stack that abandons a branch once either iterated derivative vanishes, so
 the series ends where its last branch dies (or at the order cap).  It
-shares only the polynomial primitives (partial, add, mul) with the main
-engine — no tensor state, no merging, no degree bound — so agreement
-between the two routes is meaningful.
+shares only the polynomial primitives (partial, mul, add_term) with the
+main engine — no tensor state, no merging, no degree bound, no integer
+rows — so agreement between the two routes is meaningful.
 
 The same module hosts the seeded random generators used by the fuzz
 harness and the randomized identity checks: rational values have
@@ -29,7 +29,7 @@ from math import factorial
 from random import Random
 
 from .errors import DomainError
-from .poly import QPolynomial, N_VARS, NU, VARIABLES
+from .poly import QPolynomial, N_VARS, NU, VARIABLES, add_term
 from .quat import Quaternion
 from .star import PAIRS, StarConfig, ThetaSpec, DEFAULT_CONFIG, pair_indices
 
@@ -56,13 +56,16 @@ def _order_sums(f, g, theta, cap):
     """Raw sums over ordered pair sequences, by length; index 0 is f*g.
 
     The list ends at the deepest order a branch reaches, or at `cap` when
-    it is not None."""
-    sums = [f * g]
+    it is not None.  A node whose left operand is constant has no live
+    branch, so its right partials are never taken."""
+    sums = [dict((f * g).items())]
     steps = _signed_steps(theta)
     stack = [(0, f, g, QPolynomial.constant(1))] if steps and cap != 0 else []
     while stack:
         depth, fd, gd, weight = stack.pop()
         fds = [fd.partial(var) for var in range(4)]
+        if all(fd2.is_zero() for fd2 in fds):
+            continue
         gds = [gd.partial(var) for var in range(4)]
         for m, n, w in steps:
             fd2, gd2 = fds[m], gds[n]
@@ -70,11 +73,12 @@ def _order_sums(f, g, theta, cap):
                 continue
             w2 = weight * w
             if depth + 1 == len(sums):
-                sums.append(QPolynomial.zero())
-            sums[depth + 1] = sums[depth + 1] + (fd2 * gd2) * w2
+                sums.append({})
+            for mono, coeff in ((fd2 * gd2) * w2).items():
+                add_term(sums[depth + 1], mono, coeff)
             if cap is None or depth + 1 < cap:
                 stack.append((depth + 1, fd2, gd2, w2))
-    return sums
+    return [QPolynomial.from_terms(data) for data in sums]
 
 
 def star_oracle(f: QPolynomial, g: QPolynomial,

@@ -17,6 +17,15 @@ shift and a mask and subtracts a precomputed unit.  Only this module knows
 the format: the constructor, `terms()` and `coefficient()` speak 11-tuples
 of ints in [0, EXPONENT_LIMIT], and anything else is a DomainError.
 
+A row is a (packed monomial, (n0, n1, n2, n3)) pair of ints, the term
+(n0 + n1 i + n2 j + n3 k) mono over a denominator the caller keeps.
+`mul_rows` sums row products with the Hamilton formula inlined on ints and
+no gcd; `add_rows` turns sums back into reduced Quaternions once per term.
+Rows serve where an operand is reused across many products: the running
+power of a multi-term `__pow__` and the derivatives in the star kernel.
+`__mul__` stays on Quaternion objects: its products are mostly small and
+one-off, where converting both operands to rows costs more than it saves.
+
 Canonical term order is graded lexicographic, highest first (total degree,
 then exponent tuple with `a` most significant).  Canonical text renders each
 term as `<coefficient> <monomial>`: single-component coefficients print bare
@@ -27,9 +36,10 @@ coefficients print parenthesized ("(1 + i) a b").
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError
-from .quat import ONE, Quaternion, quat_parts_text, _part_text, _UNIT_NAMES
+from .quat import ONE, Quaternion, quat_parts_text, _part_text, _quat, _UNIT_NAMES
 
 VARIABLES = ("a", "b", "c", "d", "nu",
              "Theta_ab", "Theta_ac", "Theta_ad",
@@ -124,6 +134,49 @@ def add_term(data: dict, mono: int, coeff: Quaternion) -> None:
             data[mono] = merged
 
 
+def mul_rows(acc: dict, left, right) -> None:
+    """Add the product of every left row and right row into the rows dict
+    `acc` in place; entries that cancel stay in `acc` as zeros.  `left` and
+    `right` iterate over rows, such as a rows dict's items()."""
+    get = acc.get
+    for m1, (a0, a1, a2, a3) in left:
+        for m2, (b0, b1, b2, b3) in right:
+            mono = m1 + m2
+            if mono >= _DEGREE_GUARD:
+                mono_mul(m1, m2)
+            p0, p1, p2, p3 = get(mono, (0, 0, 0, 0))
+            acc[mono] = (p0 + a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                         p1 + a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                         p2 + a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                         p3 + a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+def row_partial(rows: dict, idx: int) -> dict:
+    """The rows of the partial over position variable `idx`, over the same denominator."""
+    shift, unit = _SHIFTS[idx], _UNITS[idx]
+    return {m - unit: (e * n0, e * n1, e * n2, e * n3)
+            for m, (n0, n1, n2, n3) in rows.items() if (e := m >> shift & _FIELD_MASK)}
+
+
+def live_directions(rows: dict) -> tuple:
+    """The position variables (as indices) whose partial of `rows` is nonzero."""
+    occurring = 0
+    for m in rows:
+        occurring |= m
+    return tuple(idx for idx in range(4) if occurring >> _SHIFTS[idx] & _FIELD_MASK)
+
+
+def add_rows(data: dict, rows, scale: Fraction, shift: int = ZERO_MONO) -> dict:
+    """Add each nonzero row times the nonzero rational `scale`, at its
+    monomial times `shift`, into the term dict `data` as a reduced
+    Quaternion; returns `data`."""
+    p, q = scale.numerator, scale.denominator
+    for mono, (n0, n1, n2, n3) in rows:
+        if n0 or n1 or n2 or n3:
+            add_term(data, mono_mul(mono, shift), _quat(n0 * p, n1 * p, n2 * p, n3 * p, q))
+    return data
+
+
 def _coerce_coeff(value) -> Quaternion:
     if isinstance(value, Quaternion):
         return value
@@ -212,6 +265,16 @@ class QPolynomial:
             return -1
         return max(m >> _SHIFTS[NU] & _FIELD_MASK for m in self._terms)
 
+    def denominator(self) -> int:
+        """The lcm of the coefficient denominators (1 for the zero polynomial)."""
+        return lcm(*(c.den for c in self._terms.values()))
+
+    def rows(self, den: int) -> dict:
+        """The terms as integer rows {mono: (n0, n1, n2, n3)} over `den`, a
+        multiple of `denominator()`."""
+        return {m: (c.n0 * (k := den // c.den), c.n1 * k, c.n2 * k, c.n3 * k)
+                for m, c in self._terms.items()}
+
     def variables_used(self) -> set:
         return {VARIABLES[idx] for m in self._terms for idx, exp in enumerate(_unpack(m)) if exp}
 
@@ -293,10 +356,13 @@ class QPolynomial:
             if any(max(_unpack(m)) * n > EXPONENT_LIMIT for m in self._terms):
                 raise DomainError(_OVERFLOW)
             return QPolynomial.from_terms({m * n: _quat_pow(c, n) for m, c in self._terms.items()})
-        result = self
+        den = self.denominator()
+        base = power = self.rows(den).items()
         for _ in range(n - 1):
-            result = result * self
-        return result
+            acc = {}
+            mul_rows(acc, power, base)
+            power = [(m, c) for m, c in acc.items() if any(c)]
+        return QPolynomial.from_terms(add_rows({}, power, Fraction(1, den ** n)))
 
     def __eq__(self, other):
         if not isinstance(other, QPolynomial):

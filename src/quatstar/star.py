@@ -19,34 +19,39 @@ s = min(position degree f, position degree g).  Theta and nu may stay formal
 (fresh central variables) or be given exact rational values.
 
 The tensor state after s applications of B maps derivative multi-index
-pairs (alpha, beta) to central rational weight maps {monomial: coefficient}:
-Theta monomials with integer coefficients when Theta is formal, one constant
-when it is numeric.  Equal pairs are merged, weights whose entries cancel
-are dropped, and branches whose derivative vanishes are pruned as they
-appear.  alpha and beta are packed monomials in a..d, so a bump adds a unit
-monomial, and the tables of d^alpha f and d^beta g are filled from the entry
-being extended: d^(alpha + e_m) f = d_m (d^alpha f).  Each order's sum of
-(d^alpha f)(d^beta g) w_(alpha,beta) is built in one dict, with one
-polynomial product per state entry scaled onto the weight's monomials, and
-1/(s! 2^s) nu^s is then applied to it in one pass.  Star code only adds
-monomials from `poly`; each Theta, weight and nu^s shift goes through the
-guarded `mono_mul`.
+pairs (alpha, beta) to central weight maps {monomial: int}: Theta monomials
+when Theta is formal, the unit monomial when it is numeric, with the six
+values scaled to ints by the lcm L of their denominators (an order-s weight
+is then over L^s).  Equal pairs are merged and weights whose entries cancel
+are dropped.  alpha and beta are packed monomials in a..d, so a bump adds a
+unit monomial.  The tables of d^alpha f and d^beta g hold integer rows (see
+`poly`) over the denominators of f and g, which the denominator of every
+derivative divides, each filled from the entry being extended:
+d^(alpha + e_m) f = d_m (d^alpha f).  Each entry lists its live directions,
+the m with d_m d^alpha f != 0, so the walk never steps onto a vanishing
+derivative.  Each order's sum of (d^alpha f)(d^beta g) w_(alpha,beta)
+accumulates in one rows dict, one row product per state entry with the
+weight folded into the left rows; 1/(s! 2^s), the denominators and a
+numeric nu^s are applied once per output term as it turns back into
+Quaternions.  Star code only adds monomials from `poly`; each Theta, weight
+and nu^s shift goes through the guarded `mono_mul`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DomainError
-from .poly import (NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_term, exact_rational,
-                   mono_mul, var_mono)
+from .poly import (NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_rows, exact_rational,
+                   live_directions, mono_mul, mul_rows, row_partial, var_mono)
 
 PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
 
 _PAIR_INDICES = {pair: (VAR_INDEX[pair[0]], VAR_INDEX[pair[1]]) for pair in PAIRS}
 _PAIR_THETA = {pair: VAR_INDEX["Theta_" + pair] for pair in PAIRS}
+_UNITS = tuple(var_mono(idx) for idx in range(4))
 
 
 def pair_indices(pair: str) -> tuple[int, int]:
@@ -123,20 +128,19 @@ DEFAULT_CONFIG = StarConfig()
 
 
 def _theta_factors(theta: ThetaSpec):
-    """(m, n, theta_mono, value) for the active pairs; zero pairs dropped.
+    """(m, n, theta_mono, value) for the active pairs, zero pairs dropped, and
+    the denominator the int values are over.
 
-    Pair mn contributes value * theta_mono * (d_m (x) d_n - d_n (x) d_m) to
-    B: formal Theta gives the Theta_mn monomial and value 1, numeric Theta
-    gives the unit monomial and the pair's value.
+    Pair mn contributes value / den * theta_mono * (d_m (x) d_n - d_n (x) d_m)
+    to B: formal Theta gives the Theta_mn monomial and value 1 over 1,
+    numeric Theta the unit monomial and the pair's value times the lcm of
+    the values' denominators.
     """
-    factors = []
-    for pos, pair in enumerate(PAIRS):
-        m, n = _PAIR_INDICES[pair]
-        if theta.is_formal():
-            factors.append((m, n, var_mono(_PAIR_THETA[pair]), 1))
-        elif theta.values[pos]:
-            factors.append((m, n, ZERO_MONO, theta.values[pos]))
-    return factors
+    if theta.is_formal():
+        return [(*_PAIR_INDICES[pair], var_mono(_PAIR_THETA[pair]), 1) for pair in PAIRS], 1
+    den = lcm(*(value.denominator for value in theta.values))
+    return [(*_PAIR_INDICES[pair], ZERO_MONO, int(value * den))
+            for pair, value in zip(PAIRS, theta.values) if value], den
 
 
 def _natural_cap(f, g, config):
@@ -148,35 +152,42 @@ def _natural_cap(f, g, config):
     return smax
 
 
-def _correction_terms(f, g, theta, max_order):
-    """Yield (s, {monomial: coefficient}) for s >= 1: the terms of the sum
-    over the order-s state of (d^alpha f)(d^beta g) w_(alpha,beta), before
+def _extend(table, key, idx):
+    """The key of d_idx d^key, filling its (rows, live directions) entry
+    from table[key] on first use."""
+    key2 = key + _UNITS[idx]
+    if key2 not in table:
+        rows = row_partial(table[key][0], idx)
+        table[key2] = rows, live_directions(rows)
+    return key2
+
+
+def _order_rows(f, g, theta, max_order):
+    """Yield (s, rows, den) for s >= 1: the sum over the order-s state of
+    (d^alpha f)(d^beta g) w_(alpha,beta) as integer rows over `den`, before
     the factor 1/(s! 2^s) nu^s."""
-    if max_order < 1:
+    factors, theta_den = _theta_factors(theta)
+    if max_order < 1 or not factors:
         return
-    factors = _theta_factors(theta)
-    if not factors:
-        return
-    df, dg = {ZERO_MONO: f}, {ZERO_MONO: g}
+    # steps[m]: (n, theta_mono, signed value) for each summand d_m (x) d_n of B.
+    steps = [[] for _ in range(4)]
+    for m, n, theta_mono, value in factors:
+        steps[m].append((n, theta_mono, value))
+        steps[n].append((m, theta_mono, -value))
+    f_den, g_den = f.denominator(), g.denominator()
+    df, dg = ({ZERO_MONO: (rows, live_directions(rows))}
+              for rows in (f.rows(f_den), g.rows(g_den)))
     state = {(ZERO_MONO, ZERO_MONO): {ZERO_MONO: 1}}
     for s in range(1, max_order + 1):
         new_state = {}
         for (alpha, beta), weight in state.items():
-            for m, n, theta_mono, value in factors:
-                for am, bn, signed in ((m, n, value), (n, m, -value)):
-                    a2 = alpha + var_mono(am)
-                    fd = df.get(a2)
-                    if fd is None:
-                        fd = df[a2] = df[alpha].partial(am)
-                    if fd.is_zero():
+            g_live = dg[beta][1]
+            for am in df[alpha][1]:
+                a2 = _extend(df, alpha, am)
+                for bn, theta_mono, signed in steps[am]:
+                    if bn not in g_live:
                         continue
-                    b2 = beta + var_mono(bn)
-                    gd = dg.get(b2)
-                    if gd is None:
-                        gd = dg[b2] = dg[beta].partial(bn)
-                    if gd.is_zero():
-                        continue
-                    target = new_state.setdefault((a2, b2), {})
+                    target = new_state.setdefault((a2, _extend(dg, beta, bn)), {})
                     for mono, coeff in weight.items():
                         mono = mono_mul(mono, theta_mono)
                         merged = target.get(mono, 0) + coeff * signed
@@ -187,19 +198,12 @@ def _correction_terms(f, g, theta, max_order):
         state = {key: weight for key, weight in new_state.items() if weight}
         if not state:
             return
-        term = {}
+        acc = {}
         for (alpha, beta), weight in state.items():
-            product = df[alpha] * dg[beta]
-            for mono, coeff in product.items():
-                for wmono, value in weight.items():
-                    add_term(term, mono_mul(mono, wmono), coeff.scale(value))
-        yield s, term
-
-
-def _add_scaled(data, term, factor, nu_mono):
-    """Add factor * nu_mono * term into the term dict `data` in place."""
-    for mono, coeff in term.items():
-        add_term(data, mono_mul(mono, nu_mono), coeff.scale(factor))
+            left = [(mono_mul(m, wmono), (n0 * w, n1 * w, n2 * w, n3 * w))
+                    for wmono, w in weight.items() for m, (n0, n1, n2, n3) in df[alpha][0].items()]
+            mul_rows(acc, left, dg[beta][0].items())
+        yield s, acc.items(), f_den * g_den * theta_den ** s
 
 
 def _prefactor(s):
@@ -212,11 +216,11 @@ def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) ->
     if config.nu != "formal" and config.nu == 0:
         return result
     data = dict(result.items())
-    for s, term in _correction_terms(f, g, config.theta, _natural_cap(f, g, config)):
+    for s, rows, den in _order_rows(f, g, config.theta, _natural_cap(f, g, config)):
         if config.nu == "formal":
-            _add_scaled(data, term, _prefactor(s), var_mono(NU, s))
+            add_rows(data, rows, _prefactor(s) / den, var_mono(NU, s))
         else:
-            _add_scaled(data, term, _prefactor(s) * config.nu ** s, ZERO_MONO)
+            add_rows(data, rows, _prefactor(s) * config.nu ** s / den)
     return QPolynomial.from_terms(data)
 
 
@@ -229,9 +233,9 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
         return f * g
     data = {}
     if s <= _natural_cap(f, g, config):
-        for order, term in _correction_terms(f, g, config.theta, s):
+        for order, rows, den in _order_rows(f, g, config.theta, s):
             if order == s:
-                _add_scaled(data, term, _prefactor(s), ZERO_MONO)
+                add_rows(data, rows, _prefactor(s) / den)
     return QPolynomial.from_terms(data)
 
 

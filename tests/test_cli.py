@@ -6,6 +6,8 @@ import pytest
 
 import quatstar.cli as cli
 import quatstar.oracle
+from quatstar.errors import DomainError
+from quatstar.expr import evaluate_text
 from quatstar.poly import QPolynomial
 from quatstar.star import star
 
@@ -71,6 +73,19 @@ def test_eval_unknown_name(capsys):
 
 def test_eval_exponent_overflow_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "eval", "a^2000000")
+    assert code == 3
+    assert "exponent overflow" in err
+
+
+@pytest.mark.parametrize("text", ["(a + nu^500000 b)^3", "(nu^700000 b + nu^700000 c)^3",
+                                  "star(Theta_ab^1000000 a, b)", "star(nu^1000000 a, b)"])
+def test_exponent_guard_holds_inside_the_kernels(capsys, text):
+    # A multi-term power, a Theta weight and the nu^s shift each overflow.  The
+    # running power's nu^1400000 must be caught before a third factor carries
+    # it out of its exponent field.
+    with pytest.raises(DomainError, match="exponent overflow"):
+        evaluate_text(text)
+    code, _, err = run_cli(capsys, "eval", text)
     assert code == 3
     assert "exponent overflow" in err
 

@@ -4,8 +4,10 @@ Each group renders a fixed, seeded set of results to canonical text and
 compares one SHA-256 over them with a recorded constant.  A refactor that
 changes any result, or the text of any result, changes its group's hash.
 The constants were recorded from the engine before the oracle's series
-became an explicit-stack enumeration; a change that means to alter output
-records new ones and says so in the changelog.
+became an explicit-stack enumeration, and those of `power` and `star_deep`
+before multi-term powers and star corrections moved to integer rows.  A
+change that means to alter output records new ones and says so in the
+changelog.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import pytest
 
 from quatstar.oracle import (poisson_bracket_oracle, random_qpoly, random_quaternion,
                              star_oracle, star_oracle_order)
-from quatstar.poly import QPolynomial
+from quatstar.poly import QPolynomial, gen_q, gen_qbar
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec, poisson_bracket, star,
                            star_order_term)
 
@@ -45,6 +47,34 @@ def _operands():
     return [(_operand(rng), _operand(rng)) for _ in range(8)]
 
 
+# Deep stars and powers run the integer-row kernel over many term pairs and
+# several denominators: numeric Theta with mixed denominators, numeric nu.
+DEEP_THETAS = (ThetaSpec.formal(),
+               ThetaSpec.numeric({"ab": Fraction(2, 3), "ac": Fraction(-5, 4),
+                                  "bc": Fraction(7, 6), "bd": -1, "cd": Fraction(3, 10)}))
+DEEP_CONFIGS = [StarConfig(theta, nu, cap) for theta in DEEP_THETAS
+                for nu in ("formal", Fraction(-3, 7)) for cap in (None, 1, 3)]
+
+
+def _deep_pairs():
+    q, qbar = gen_q(), gen_qbar()
+    rng = Random(2025)
+    seeded = []
+    for _ in range(3):
+        f, g = (random_qpoly(rng, 5, 6, True) + QPolynomial({(2, 1, 1, 1) + (0,) * 7:
+                                                             random_quaternion(rng)})
+                for _ in range(2))
+        seeded.append((f, g))
+    return [(q ** n, qbar ** n) for n in range(1, 5)] + seeded
+
+
+def _powers():
+    rng = Random(2026)
+    bases = [base for base in (random_qpoly(rng, 2, 4, True) for _ in range(12)) if len(base) > 1]
+    q = gen_q()
+    return [base ** n for base in bases for n in range(4, 9)] + [q ** n for n in range(13)]
+
+
 def _texts():
     pairs = _operands()
     groups = {
@@ -58,6 +88,8 @@ def _texts():
                     for bracket in (poisson_bracket, poisson_bracket_oracle)],
         "ring": [value for f, g in pairs
                  for value in (f * g, g * f, f + g, f - g, -f, f ** 0, f ** 2, g ** 3)],
+        "power": _powers(),
+        "star_deep": [star(f, g, cfg) for f, g in _deep_pairs() for cfg in DEEP_CONFIGS],
     }
     return {name: [value.canonical_text() for value in values]
             for name, values in groups.items()}
@@ -70,6 +102,8 @@ GOLDEN = {
     "star_oracle_order": "6bd1980c7adc5a180d77de4b285414c1ef62c8439ea25f64a15df4d0718cfca5",
     "bracket": "2cc4f0607d3225e0125cc8a07172e8ee2139d5656b348f650b74ad8885e337b5",
     "ring": "f7248fe7fe059c23883c683db6a51a45ebbb105b4884598fbaf5c76a25ae65ef",
+    "power": "84adda259cb7f731046cfbcc60e6b5c4f8a7d4e23f9e3ab3daa05b6364cb788a",
+    "star_deep": "2094671358ac6e283a769e68af58592b4c4160d76579a438ca856b4a9d00b510",
 }
 
 

@@ -1,10 +1,13 @@
 """The independent star-product oracle and random-testing helpers."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import quatstar.oracle
 from quatstar.errors import DomainError
 from quatstar.oracle import (find_disagreement_point, poisson_bracket_oracle,
                              random_qpoly, random_quaternion, random_rational,
@@ -170,3 +173,25 @@ def test_random_rational_bounds():
         x = random_rational(rng)
         assert -9 <= x.numerator <= 9 or abs(x) <= 9
         assert 1 <= x.denominator <= 4
+
+
+def test_oracle_shares_no_star_kernel():
+    """The oracle may take only configuration names from `star` and no
+    integer-row kernel from `poly`, so that its agreement with the engine
+    stays a check on two routes."""
+    star_names = {"PAIRS", "StarConfig", "ThetaSpec", "DEFAULT_CONFIG", "pair_indices"}
+    row_kernel = {"mul_rows", "add_rows", "row_partial", "live_directions"}
+    tree = ast.parse(Path(quatstar.oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith(("quatstar.star", "quatstar.poly"))
+                           for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            module = (node.module or "").rpartition(".")[2]
+            if module == "star":
+                assert names <= star_names, names - star_names
+            elif module == "poly":
+                assert not names & row_kernel, names & row_kernel
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in row_kernel | {"rows", "denominator"}, node.attr

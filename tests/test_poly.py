@@ -11,10 +11,10 @@ from sympy.algebras.quaternion import Quaternion as SympyQuaternion
 
 from quatstar.errors import DomainError
 from quatstar.expr import evaluate_text
-from quatstar.oracle import random_qpoly
-from quatstar.poly import (EXPONENT_LIMIT, NU as NU_INDEX, QPolynomial, VARIABLES,
-                           gen_q, gen_qbar, mono_text, var_index)
-from quatstar.quat import I, J, K, ONE, Quaternion
+from quatstar.oracle import random_qpoly, random_quaternion
+from quatstar.poly import (EXPONENT_LIMIT, NU as NU_INDEX, QPolynomial, VARIABLES, ZERO_MONO,
+                           add_rows, gen_q, gen_qbar, mono_text, mul_rows, var_index)
+from quatstar.quat import GROUP_ELEMENTS, I, J, K, ONE, Quaternion
 from quatstar.star import PAIRS, pair_indices, star
 
 
@@ -130,6 +130,34 @@ def test_powers():
         (A * A) ** (EXPONENT_LIMIT // 2 + 1)
     assert QPolynomial.zero() ** 3 == QPolynomial.zero()
     assert QPolynomial.zero() ** 0 == QPolynomial.constant(1)
+
+
+def _row_product(x, y):
+    """x * y through the integer-row kernel: one row each, converted back once."""
+    px, py = QPolynomial.constant(x), QPolynomial.constant(y)
+    acc = {}
+    mul_rows(acc, px.rows(px.denominator()).items(), py.rows(py.denominator()).items())
+    data = add_rows({}, acc.items(), Fraction(1, px.denominator() * py.denominator()))
+    return data.get(ZERO_MONO, Quaternion())
+
+
+def test_row_product_equals_quaternion_product():
+    rng = Random(8)
+    pairs = [(x, y) for x in GROUP_ELEMENTS for y in GROUP_ELEMENTS]
+    pairs += [(random_quaternion(rng), random_quaternion(rng)) for _ in range(50)]
+    for x, y in pairs:
+        assert _row_product(x, y) == x * y
+
+
+def test_power_equals_repeated_product():
+    # Multi-term powers run on integer rows, products on Quaternion objects.
+    rng = Random(9)
+    for _ in range(60):
+        base = random_qpoly(rng, 2, 4, True)
+        product = base
+        for n in range(2, 9):
+            product = product * base
+            assert base ** n == product
 
 
 def test_monomial_exponent_overflow():
