@@ -12,10 +12,15 @@ the exponent,
 applying the left index to the left operand and the right index to the
 right operand.  The walk is a plain depth-first enumeration on an explicit
 stack that abandons a branch once either iterated derivative vanishes, so
-the series ends where its last branch dies (or at the order cap).  It
-shares only the polynomial primitives (partial, mul, add_term) with the
-main engine — no tensor state, no merging, no degree bound, no integer
-rows — so agreement between the two routes is meaningful.
+the series ends where its last branch dies (or at the order cap).  Every
+sequence still costs one product of its two iterated derivatives; what
+siblings share is only the gradients of those derivatives, taken once per
+parent, and a path's weight is a Theta monomial and a rational, applied to
+each product term as it is added.  It shares only the primitives
+(`QPolynomial.gradient` and `*`, `add_term`, `mono_mul`, `Quaternion.scale`)
+with the main engine — no tensor state, no merging of sequences, no cache
+keyed by derivative multi-index, no degree bound, no integer rows — so
+agreement between the two routes is meaningful.
 
 The same module hosts the seeded random generators used by the fuzz
 harness and the randomized identity checks: rational values have
@@ -29,7 +34,8 @@ from math import factorial
 from random import Random
 
 from .errors import DomainError
-from .poly import QPolynomial, N_VARS, NU, VARIABLES, add_term
+from .poly import (N_VARS, NU, VAR_INDEX, VARIABLES, ZERO_MONO, QPolynomial, add_term,
+                   mono_mul, var_mono)
 from .quat import Quaternion
 from .star import PAIRS, StarConfig, ThetaSpec, DEFAULT_CONFIG, pair_indices
 
@@ -37,48 +43,62 @@ _NU_POLY = QPolynomial.variable("nu")
 
 
 def _signed_steps(theta: ThetaSpec):
-    steps = []
+    """steps[m]: (n, Theta monomial, signed weight) for each summand d_m (x) d_n
+    of the exponent.  Formal Theta gives the Theta_mn monomial and weight +-1,
+    numeric Theta the unit monomial and +- the pair's value; zero pairs drop."""
+    steps = [[] for _ in range(4)]
     for pos, pair in enumerate(PAIRS):
         m, n = pair_indices(pair)
         if theta.is_formal():
-            weight = QPolynomial.variable("Theta_" + pair)
+            mono, weight = var_mono(VAR_INDEX["Theta_" + pair]), 1
         else:
-            value = theta.values[pos]
-            if not value:
+            mono, weight = ZERO_MONO, theta.values[pos]
+            if not weight:
                 continue
-            weight = QPolynomial.constant(value)
-        steps.append((m, n, weight))
-        steps.append((n, m, -weight))
+        steps[m].append((n, mono, weight))
+        steps[n].append((m, mono, -weight))
     return steps
 
 
 def _order_sums(f, g, theta, cap):
-    """Raw sums over ordered pair sequences, by length; index 0 is f*g.
+    """Raw sums over ordered pair sequences as term dicts; sums[s - 1] holds
+    the sequences of length s.
 
-    The list ends at the deepest order a branch reaches, or at `cap` when
-    it is not None.  A node whose left operand is constant has no live
-    branch, so its right partials are never taken."""
-    sums = [dict((f * g).items())]
+    The list ends at the deepest order a branch reaches, or at `cap` when it
+    is not None.  A stack entry holds the gradients of its fd and gd and its
+    path weight, a (Theta monomial, rational) pair.  A node takes the
+    gradient of its fd_m once per live m and of its gd_n once per live n,
+    shared by the siblings; a child whose left gradient is all zero has no
+    branch and is not pushed, so its right gradient is never taken."""
+    sums = []
     steps = _signed_steps(theta)
-    stack = [(0, f, g, QPolynomial.constant(1))] if steps and cap != 0 else []
+    if cap == 0 or not any(steps):
+        return sums
+    stack = [(0, f.gradient(), g.gradient(), ZERO_MONO, 1)]
     while stack:
-        depth, fd, gd, weight = stack.pop()
-        fds = [fd.partial(var) for var in range(4)]
-        if all(fd2.is_zero() for fd2 in fds):
-            continue
-        gds = [gd.partial(var) for var in range(4)]
-        for m, n, w in steps:
-            fd2, gd2 = fds[m], gds[n]
-            if fd2.is_zero() or gd2.is_zero():
+        depth, fds, gds, wmono, w = stack.pop()
+        deeper = cap is None or depth + 1 < cap
+        rights = {}
+        for m, fd in enumerate(fds):
+            if fd.is_zero():
                 continue
-            w2 = weight * w
-            if depth + 1 == len(sums):
-                sums.append({})
-            for mono, coeff in ((fd2 * gd2) * w2).items():
-                add_term(sums[depth + 1], mono, coeff)
-            if cap is None or depth + 1 < cap:
-                stack.append((depth + 1, fd2, gd2, w2))
-    return [QPolynomial.from_terms(data) for data in sums]
+            left = fd.gradient() if deeper else None
+            push = deeper and any(left)
+            for n, theta_mono, signed in steps[m]:
+                gd = gds[n]
+                if gd.is_zero():
+                    continue
+                wmono2, w2 = mono_mul(wmono, theta_mono), w * signed
+                if depth == len(sums):
+                    sums.append({})
+                target = sums[depth]
+                for mono, coeff in (fd * gd).items():
+                    add_term(target, mono_mul(mono, wmono2), coeff if w2 == 1 else coeff.scale(w2))
+                if push:
+                    if n not in rights:
+                        rights[n] = gd.gradient()
+                    stack.append((depth + 1, left, rights[n], wmono2, w2))
+    return sums
 
 
 def star_oracle(f: QPolynomial, g: QPolynomial,
@@ -86,9 +106,9 @@ def star_oracle(f: QPolynomial, g: QPolynomial,
     """The star product computed by literal series enumeration."""
     zero_nu = config.nu != "formal" and config.nu == 0
     sums = _order_sums(f, g, config.theta, 0 if zero_nu else config.order_cap)
-    result = sums[0]
-    for s in range(1, len(sums)):
-        term = sums[s] * Fraction(1, factorial(s) * 2 ** s)
+    result = f * g
+    for s, data in enumerate(sums, 1):
+        term = QPolynomial.from_terms(data) * Fraction(1, factorial(s) * 2 ** s)
         if config.nu == "formal":
             term = term * (_NU_POLY ** s)
         else:
@@ -104,10 +124,12 @@ def star_oracle_order(f: QPolynomial, g: QPolynomial, s: int,
         raise DomainError("correction order must be non-negative")
     if config.order_cap is not None and s > config.order_cap:
         return QPolynomial.zero()
+    if s == 0:
+        return f * g
     sums = _order_sums(f, g, config.theta, s)
-    if s >= len(sums):
+    if s > len(sums):
         return QPolynomial.zero()
-    return sums[s] * Fraction(1, factorial(s) * 2 ** s)
+    return QPolynomial.from_terms(sums[s - 1]) * Fraction(1, factorial(s) * 2 ** s)
 
 
 def poisson_bracket_oracle(f: QPolynomial, g: QPolynomial, pair: str) -> QPolynomial:

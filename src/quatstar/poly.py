@@ -13,7 +13,8 @@ order, and a product is `m1 + m2`: a field holds the sum of two exponents
 <= EXPONENT_LIMIT < 2^20 without a carry.  The overflow guard is one compare
 against (EXPONENT_LIMIT + 1) << degree shift; only a product of higher total
 degree is unpacked to check each field.  A partial reads one field with a
-shift and a mask and subtracts a precomputed unit.  Only this module knows
+shift and a mask and subtracts a precomputed unit; `gradient` takes all four
+position partials in one pass over the terms.  Only this module knows
 the format: the constructor, `terms()` and `coefficient()` speak 11-tuples
 of ints in [0, EXPONENT_LIMIT], and anything else is a DomainError.
 
@@ -60,6 +61,7 @@ _SHIFTS = tuple(_FIELD_BITS * (N_VARS - 1 - idx) for idx in range(N_VARS))
 _DEGREE_SHIFT = _FIELD_BITS * N_VARS
 _DEGREE_GUARD = (EXPONENT_LIMIT + 1) << _DEGREE_SHIFT
 _UNITS = tuple((1 << _DEGREE_SHIFT) | (1 << shift) for shift in _SHIFTS)
+_POSITION_FIELDS = tuple(zip(range(4), _SHIFTS[:4], _UNITS[:4]))
 _OVERFLOW = f"exponent overflow: monomial exponent exceeds {EXPONENT_LIMIT}"
 ZERO_MONO = 0
 
@@ -388,6 +390,17 @@ class QPolynomial:
                 # Lowering one exponent maps distinct monomials to distinct ones.
                 data[mono - unit] = coeff.scale(exp)
         return QPolynomial.from_terms(data)
+
+    def gradient(self) -> list:
+        """The partials over a, b, c and d, as `partial` gives them, in one
+        pass over the terms."""
+        parts = ({}, {}, {}, {})
+        for mono, coeff in self._terms.items():
+            for idx, shift, unit in _POSITION_FIELDS:
+                exp = mono >> shift & _FIELD_MASK
+                if exp:
+                    parts[idx][mono - unit] = coeff if exp == 1 else coeff.scale(exp)
+        return [QPolynomial.from_terms(data) for data in parts]
 
     def conjugate(self) -> "QPolynomial":
         """Quaternionic conjugation of every coefficient (variables stay fixed)."""

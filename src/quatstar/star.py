@@ -162,10 +162,12 @@ def _extend(table, key, idx):
     return key2
 
 
-def _order_rows(f, g, theta, max_order):
-    """Yield (s, rows, den) for s >= 1: the sum over the order-s state of
-    (d^alpha f)(d^beta g) w_(alpha,beta) as integer rows over `den`, before
-    the factor 1/(s! 2^s) nu^s."""
+def _order_rows(f, g, theta, max_order, first_order=1):
+    """Yield (s, rows, den) for first_order <= s <= max_order: the sum over
+    the order-s state of (d^alpha f)(d^beta g) w_(alpha,beta) as integer rows
+    over `den`, before the factor 1/(s! 2^s) nu^s.  The state still steps
+    through the orders below `first_order`, but their rows are never
+    multiplied out."""
     factors, theta_den = _theta_factors(theta)
     if max_order < 1 or not factors:
         return
@@ -198,6 +200,8 @@ def _order_rows(f, g, theta, max_order):
         state = {key: weight for key, weight in new_state.items() if weight}
         if not state:
             return
+        if s < first_order:
+            continue
         acc = {}
         for (alpha, beta), weight in state.items():
             left = [(mono_mul(m, wmono), (n0 * w, n1 * w, n2 * w, n3 * w))
@@ -233,9 +237,8 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
         return f * g
     data = {}
     if s <= _natural_cap(f, g, config):
-        for order, rows, den in _order_rows(f, g, config.theta, s):
-            if order == s:
-                add_rows(data, rows, _prefactor(s) / den)
+        for _, rows, den in _order_rows(f, g, config.theta, s, s):
+            add_rows(data, rows, _prefactor(s) / den)
     return QPolynomial.from_terms(data)
 
 

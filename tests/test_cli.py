@@ -100,6 +100,18 @@ def test_eval_deep_nesting_is_parse_error(capsys, text):
     assert "nested deeper than 100 levels" in err
 
 
+@pytest.mark.parametrize("flags, text", [((), "star(Theta_ab^1000000 a, b)"),
+                                         ((), "star(nu^1000000 a, b)"),
+                                         (("--nu", "1"), "star(Theta_ab^1000000 a, b)")])
+def test_oracle_backend_keeps_the_exponent_guard(capsys, flags, text):
+    # The oracle's path weights meet the product terms as packed monomials,
+    # so the Theta and nu exponents must still pass the guarded product.  With
+    # a numeric nu no later product would catch an unguarded Theta exponent.
+    code, _, err = run_cli(capsys, "eval", "--backend", "oracle", *flags, text)
+    assert code == 3
+    assert "exponent overflow" in err
+
+
 @pytest.mark.parametrize("text, expected", [("+".join(["a"] * 3000), "3000 a"),
                                             ("-".join(["a"] * 3000), "-2998 a"),
                                             (" ".join(["a"] * 3000), "a^3000")],

@@ -177,11 +177,12 @@ def test_random_rational_bounds():
 
 def test_oracle_shares_no_star_kernel():
     """The oracle may take only configuration names from `star` and no
-    integer-row kernel from `poly`, so that its agreement with the engine
-    stays a check on two routes."""
+    integer-row kernel from `poly`, and the engine never takes the oracle's
+    `gradient`, so that their agreement stays a check on two routes."""
     star_names = {"PAIRS", "StarConfig", "ThetaSpec", "DEFAULT_CONFIG", "pair_indices"}
     row_kernel = {"mul_rows", "add_rows", "row_partial", "live_directions"}
-    tree = ast.parse(Path(quatstar.oracle.__file__).read_text(encoding="utf-8"))
+    oracle_path = Path(quatstar.oracle.__file__)
+    tree = ast.parse(oracle_path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             assert not any(alias.name.startswith(("quatstar.star", "quatstar.poly"))
@@ -195,3 +196,7 @@ def test_oracle_shares_no_star_kernel():
                 assert not names & row_kernel, names & row_kernel
         elif isinstance(node, ast.Attribute):
             assert node.attr not in row_kernel | {"rows", "denominator"}, node.attr
+    engine = ast.parse(oracle_path.with_name("star.py").read_text(encoding="utf-8"))
+    engine_names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                    for node in ast.walk(engine) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert "gradient" not in engine_names

@@ -201,6 +201,14 @@ def test_partial_derivatives():
         p.partial("Theta_ab")
 
 
+def test_gradient_equals_the_four_partials():
+    rng = Random(17)
+    cases = [random_qpoly(rng, 4, 4, True) for _ in range(60)]
+    cases += [QPolynomial.zero(), QPolynomial.constant(Fraction(-3, 4)), gen_q() ** 3]
+    for p in cases:
+        assert p.gradient() == [p.partial(v) for v in range(4)]
+
+
 def test_partials_commute():
     rng = Random(2)
     from quatstar.oracle import random_qpoly
