@@ -60,9 +60,10 @@ def _signed_steps(theta: ThetaSpec):
     return steps
 
 
-def _order_sums(f, g, theta, cap):
+def _order_sums(f, g, theta, cap, first_order=1):
     """Raw sums over ordered pair sequences as term dicts; sums[s - 1] holds
-    the sequences of length s.
+    the sequences of length s, left empty for s < first_order, whose
+    products are never formed.
 
     The list ends at the deepest order a branch reaches, or at `cap` when it
     is not None.  A stack entry holds the gradients of its fd and gd and its
@@ -91,9 +92,11 @@ def _order_sums(f, g, theta, cap):
                 wmono2, w2 = mono_mul(wmono, theta_mono), w * signed
                 if depth == len(sums):
                     sums.append({})
-                target = sums[depth]
-                for mono, coeff in (fd * gd).items():
-                    add_term(target, mono_mul(mono, wmono2), coeff if w2 == 1 else coeff.scale(w2))
+                if depth >= first_order - 1:
+                    target = sums[depth]
+                    for mono, coeff in (fd * gd).items():
+                        add_term(target, mono_mul(mono, wmono2),
+                                 coeff if w2 == 1 else coeff.scale(w2))
                 if push:
                     if n not in rights:
                         rights[n] = gd.gradient()
@@ -126,7 +129,7 @@ def star_oracle_order(f: QPolynomial, g: QPolynomial, s: int,
         return QPolynomial.zero()
     if s == 0:
         return f * g
-    sums = _order_sums(f, g, config.theta, s)
+    sums = _order_sums(f, g, config.theta, s, s)
     if s > len(sums):
         return QPolynomial.zero()
     return QPolynomial.from_terms(sums[s - 1]) * Fraction(1, factorial(s) * 2 ** s)

@@ -21,7 +21,8 @@ of ints in [0, EXPONENT_LIMIT], and anything else is a DomainError.
 A row is a (packed monomial, (n0, n1, n2, n3)) pair of ints, the term
 (n0 + n1 i + n2 j + n3 k) mono over a denominator the caller keeps.
 `mul_rows` sums row products with the Hamilton formula inlined on ints and
-no gcd; `add_rows` turns sums back into reduced Quaternions once per term.
+no gcd, `add_partial_rows` sums k times a partial times a monomial, and
+`add_rows` turns sums back into reduced Quaternions once per term.
 Rows serve where an operand is reused across many products: the running
 power of a multi-term `__pow__` and the derivatives in the star kernel.
 `__mul__` stays on Quaternion objects: its products are mostly small and
@@ -153,11 +154,21 @@ def mul_rows(acc: dict, left, right) -> None:
                          p3 + a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
-def row_partial(rows: dict, idx: int) -> dict:
-    """The rows of the partial over position variable `idx`, over the same denominator."""
-    shift, unit = _SHIFTS[idx], _UNITS[idx]
-    return {m - unit: (e * n0, e * n1, e * n2, e * n3)
-            for m, (n0, n1, n2, n3) in rows.items() if (e := m >> shift & _FIELD_MASK)}
+def add_partial_rows(acc: dict, rows: dict, idx: int, k: int, shift: int = ZERO_MONO) -> None:
+    """Add k times the partial of `rows` over position variable `idx`, at
+    each monomial times `shift`, into the rows dict `acc` in place; entries
+    that cancel stay in `acc` as zeros."""
+    field, unit = _SHIFTS[idx], _UNITS[idx]
+    get = acc.get
+    for m, (n0, n1, n2, n3) in rows.items():
+        if e := m >> field & _FIELD_MASK:
+            m -= unit
+            mono = m + shift
+            if mono >= _DEGREE_GUARD:
+                mono_mul(m, shift)
+            e *= k
+            p0, p1, p2, p3 = get(mono, (0, 0, 0, 0))
+            acc[mono] = (p0 + e * n0, p1 + e * n1, p2 + e * n2, p3 + e * n3)
 
 
 def live_directions(rows: dict) -> tuple:

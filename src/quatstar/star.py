@@ -18,23 +18,27 @@ Because B only differentiates in a..d, the series terminates at
 s = min(position degree f, position degree g).  Theta and nu may stay formal
 (fresh central variables) or be given exact rational values.
 
-The tensor state after s applications of B maps derivative multi-index
-pairs (alpha, beta) to central weight maps {monomial: int}: Theta monomials
-when Theta is formal, the unit monomial when it is numeric, with the six
-values scaled to ints by the lcm L of their denominators (an order-s weight
-is then over L^s).  Equal pairs are merged and weights whose entries cancel
-are dropped.  alpha and beta are packed monomials in a..d, so a bump adds a
-unit monomial.  The tables of d^alpha f and d^beta g hold integer rows (see
-`poly`) over the denominators of f and g, which the denominator of every
-derivative divides, each filled from the entry being extended:
-d^(alpha + e_m) f = d_m (d^alpha f).  Each entry lists its live directions,
-the m with d_m d^alpha f != 0, so the walk never steps onto a vanishing
-derivative.  Each order's sum of (d^alpha f)(d^beta g) w_(alpha,beta)
-accumulates in one rows dict, one row product per state entry with the
-weight folded into the left rows; 1/(s! 2^s), the denominators and a
-numeric nu^s are applied once per output term as it turns back into
-Quaternions.  Star code only adds monomials from `poly`; each Theta, weight
-and nu^s shift goes through the guarded `mono_mul`.
+Theta is constant, so B = sum_m d_m (x) D_m with D_m = sum_n Theta_mn d_n
+(Theta_nm = -Theta_mn), and the D_m commute.  The multinomial theorem gives
+
+    B^s = sum_{|alpha| = s} (s!/alpha!) d^alpha (x) D^alpha
+
+over derivative multi-indices alpha, so no state over pairs (alpha, beta)
+is needed.  Order s keeps a level {alpha: (d^alpha f, D^alpha g, s!/alpha!)}
+with the derivatives as integer rows (see `poly`): d^alpha f over the
+denominator of f, D^alpha g over that of g times L^s, where numeric Theta is
+scaled to ints by the lcm L of its denominators; formal Theta puts its
+monomials into the rows of D^alpha g.  A child alpha + e_m is built from the
+first parent that reaches it, as d_m d^alpha f and D_m D^alpha g (any parent
+gives the same rows, as the D_m commute), and its multinomial is the sum of
+its parents' (Pascal's rule: every parent of a kept alpha is in the level
+below).  The walk steps only along live directions, the m with
+d_m d^alpha f != 0, and drops an alpha whose D^alpha g cancels to zero, so
+the series ends by itself.  Each order's sum is one row product per alpha,
+with s!/alpha! folded into the left rows; 1/(s! 2^s), the denominators and
+a numeric nu^s are applied once per output term as it turns back into
+Quaternions.  Star code only adds monomials from `poly`; each Theta and
+nu^s shift goes through the guarded `add_partial_rows` or `mono_mul`.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import DomainError
-from .poly import (NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_rows, exact_rational,
-                   live_directions, mono_mul, mul_rows, row_partial, var_mono)
+from .poly import (NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_partial_rows, add_rows,
+                   exact_rational, live_directions, mul_rows, var_mono)
 
 PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
 
@@ -106,8 +110,8 @@ class StarConfig:
 
     theta: formal symbols or numeric values for the six Theta_mn.
     nu: the string "formal" or an exact rational value.
-    order_cap: optional cap on the correction order s (None = run to
-    natural termination).
+    order_cap: optional cap on the correction order s (None = run until the
+    series ends, at the smaller position degree).
     """
 
     theta: ThetaSpec = ThetaSpec(None)
@@ -143,70 +147,50 @@ def _theta_factors(theta: ThetaSpec):
             for pair, value in zip(PAIRS, theta.values) if value], den
 
 
-def _natural_cap(f, g, config):
-    smax = min(f.position_degree(), g.position_degree())
-    if smax < 0:
-        smax = 0
-    if config.order_cap is not None:
-        smax = min(smax, config.order_cap)
-    return smax
-
-
-def _extend(table, key, idx):
-    """The key of d_idx d^key, filling its (rows, live directions) entry
-    from table[key] on first use."""
-    key2 = key + _UNITS[idx]
-    if key2 not in table:
-        rows = row_partial(table[key][0], idx)
-        table[key2] = rows, live_directions(rows)
-    return key2
-
-
 def _order_rows(f, g, theta, max_order, first_order=1):
-    """Yield (s, rows, den) for first_order <= s <= max_order: the sum over
-    the order-s state of (d^alpha f)(d^beta g) w_(alpha,beta) as integer rows
-    over `den`, before the factor 1/(s! 2^s) nu^s.  The state still steps
-    through the orders below `first_order`, but their rows are never
+    """Yield (s, rows, den) for first_order <= s <= max_order (None: until
+    the series ends): sum_alpha (s!/alpha!) (d^alpha f)(D^alpha g) as integer
+    rows over `den`, before the factor 1/(s! 2^s) nu^s.  The levels still
+    step through the orders below `first_order`, but their rows are never
     multiplied out."""
     factors, theta_den = _theta_factors(theta)
-    if max_order < 1 or not factors:
+    if max_order == 0 or not factors:
         return
-    # steps[m]: (n, theta_mono, signed value) for each summand d_m (x) d_n of B.
+    # steps[m]: (n, theta_mono, signed value) for each summand Theta_mn d_n of D_m.
     steps = [[] for _ in range(4)]
     for m, n, theta_mono, value in factors:
         steps[m].append((n, theta_mono, value))
         steps[n].append((m, theta_mono, -value))
     f_den, g_den = f.denominator(), g.denominator()
-    df, dg = ({ZERO_MONO: (rows, live_directions(rows))}
-              for rows in (f.rows(f_den), g.rows(g_den)))
-    state = {(ZERO_MONO, ZERO_MONO): {ZERO_MONO: 1}}
-    for s in range(1, max_order + 1):
-        new_state = {}
-        for (alpha, beta), weight in state.items():
-            g_live = dg[beta][1]
-            for am in df[alpha][1]:
-                a2 = _extend(df, alpha, am)
-                for bn, theta_mono, signed in steps[am]:
-                    if bn not in g_live:
-                        continue
-                    target = new_state.setdefault((a2, _extend(dg, beta, bn)), {})
-                    for mono, coeff in weight.items():
-                        mono = mono_mul(mono, theta_mono)
-                        merged = target.get(mono, 0) + coeff * signed
-                        if merged:
-                            target[mono] = merged
-                        else:
-                            del target[mono]
-        state = {key: weight for key, weight in new_state.items() if weight}
-        if not state:
-            return
-        if s < first_order:
+    # level[alpha]: (rows of d^alpha f, rows of D^alpha g, s!/alpha!)
+    level = {ZERO_MONO: (f.rows(f_den), g.rows(g_den), 1)}
+    s = 0
+    while level and s != max_order:
+        s += 1
+        grown = {}
+        for alpha, (df, dg, c) in level.items():
+            for m in live_directions(df):
+                key = alpha + _UNITS[m]
+                child = grown.get(key)
+                if child is not None:
+                    child[2] += c
+                    continue
+                child = grown[key] = [{}, {}, c]
+                add_partial_rows(child[0], df, m, 1)
+                for n, theta_mono, signed in steps[m]:
+                    add_partial_rows(child[1], dg, n, signed, theta_mono)
+        level = {}
+        for alpha, (df, dg, c) in grown.items():
+            dg = {mono: row for mono, row in dg.items() if row != (0, 0, 0, 0)}
+            if dg:
+                level[alpha] = df, dg, c
+        if s < first_order or not level:
             continue
         acc = {}
-        for (alpha, beta), weight in state.items():
-            left = [(mono_mul(m, wmono), (n0 * w, n1 * w, n2 * w, n3 * w))
-                    for wmono, w in weight.items() for m, (n0, n1, n2, n3) in df[alpha][0].items()]
-            mul_rows(acc, left, dg[beta][0].items())
+        for df, dg, c in level.values():
+            left = df.items() if c == 1 else [(mono, (n0 * c, n1 * c, n2 * c, n3 * c))
+                                              for mono, (n0, n1, n2, n3) in df.items()]
+            mul_rows(acc, left, dg.items())
         yield s, acc.items(), f_den * g_den * theta_den ** s
 
 
@@ -220,7 +204,7 @@ def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) ->
     if config.nu != "formal" and config.nu == 0:
         return result
     data = dict(result.items())
-    for s, rows, den in _order_rows(f, g, config.theta, _natural_cap(f, g, config)):
+    for s, rows, den in _order_rows(f, g, config.theta, config.order_cap):
         if config.nu == "formal":
             add_rows(data, rows, _prefactor(s) / den, var_mono(NU, s))
         else:
@@ -236,7 +220,7 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
     if s == 0:
         return f * g
     data = {}
-    if s <= _natural_cap(f, g, config):
+    if config.order_cap is None or s <= config.order_cap:
         for _, rows, den in _order_rows(f, g, config.theta, s, s):
             add_rows(data, rows, _prefactor(s) / den)
     return QPolynomial.from_terms(data)

@@ -78,11 +78,13 @@ def test_eval_exponent_overflow_is_domain_error(capsys):
 
 
 @pytest.mark.parametrize("text", ["(a + nu^500000 b)^3", "(nu^700000 b + nu^700000 c)^3",
-                                  "star(Theta_ab^1000000 a, b)", "star(nu^1000000 a, b)"])
+                                  "star(Theta_ab^1000000 a, b)", "star(a, Theta_ab^1000000 b)",
+                                  "star(nu^1000000 a, b)"])
 def test_exponent_guard_holds_inside_the_kernels(capsys, text):
-    # A multi-term power, a Theta weight and the nu^s shift each overflow.  The
-    # running power's nu^1400000 must be caught before a third factor carries
-    # it out of its exponent field.
+    # A multi-term power, a Theta factor on either operand and the nu^s shift
+    # each overflow; the star kernel shifts Theta into the right operand's
+    # derivatives.  The running power's nu^1400000 must be caught before a
+    # third factor carries it out of its exponent field.
     with pytest.raises(DomainError, match="exponent overflow"):
         evaluate_text(text)
     code, _, err = run_cli(capsys, "eval", text)

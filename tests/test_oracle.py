@@ -2,6 +2,7 @@
 
 import ast
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 from random import Random
 
@@ -13,8 +14,10 @@ from quatstar.oracle import (find_disagreement_point, poisson_bracket_oracle,
                              random_qpoly, random_quaternion, random_rational,
                              star_oracle, star_oracle_order)
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
+from quatstar.quat import Quaternion
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec, poisson_bracket,
                            star, star_order_term)
+from test_golden import DEEP_THETAS
 
 Q = gen_q()
 QBAR = gen_qbar()
@@ -111,6 +114,35 @@ def test_order_term_extraction():
     assert star_oracle(f, g, cancelling) == star(f, g, cancelling)
 
 
+@pytest.mark.parametrize("route", [star, star_oracle])
+def test_star_of_a_and_b_powers_has_a_closed_form(route):
+    """star(a^n, b^n) = sum_s C(n,s)^2 s! (nu Theta_ab / 2)^s a^(n-s) b^(n-s)
+    under formal Theta and nu: only d_a^s (x) (Theta_ab d_b)^s survives."""
+    a, b = QPolynomial.variable("a"), QPolynomial.variable("b")
+    for n in range(1, 7):
+        expected = {(n - s, n - s, 0, 0, s, s, 0, 0, 0, 0, 0):
+                    Quaternion(Fraction(comb(n, s) ** 2 * factorial(s), 2 ** s))
+                    for s in range(n + 1)}
+        assert dict(route(a ** n, b ** n).terms()) == expected
+
+
+def test_routes_agree_on_q_powers_under_deep_configs():
+    """star(q^n, qbar^n) and its order terms on both routes, n = 1-4.  The
+    derivative multi-indices repeat directions, and with Theta_ab = 1,
+    Theta_cd = -1 the right operand's iterated derivatives cancel to zero
+    along some of them, for n = 4 from order 3, before the series ends."""
+    for n in range(1, 5):
+        f, g = Q ** n, QBAR ** n
+        for theta in (DEEP_THETAS[1], ThetaSpec.numeric({"ab": 1, "cd": -1})):
+            for cap in (None, 1, 3):
+                for nu in ("formal", Fraction(-3, 7)):
+                    cfg = StarConfig(theta, nu, cap)
+                    assert star(f, g, cfg) == star_oracle(f, g, cfg)
+                for s in range(n + 2):
+                    cfg = StarConfig(theta, "formal", cap)
+                    assert star_order_term(f, g, s, cfg) == star_oracle_order(f, g, s, cfg)
+
+
 @pytest.mark.parametrize("order_term", [star_order_term, star_oracle_order])
 def test_negative_order_is_domain_error(order_term):
     with pytest.raises(DomainError, match="non-negative"):
@@ -180,7 +212,7 @@ def test_oracle_shares_no_star_kernel():
     integer-row kernel from `poly`, and the engine never takes the oracle's
     `gradient`, so that their agreement stays a check on two routes."""
     star_names = {"PAIRS", "StarConfig", "ThetaSpec", "DEFAULT_CONFIG", "pair_indices"}
-    row_kernel = {"mul_rows", "add_rows", "row_partial", "live_directions"}
+    row_kernel = {"mul_rows", "add_rows", "add_partial_rows", "live_directions"}
     oracle_path = Path(quatstar.oracle.__file__)
     tree = ast.parse(oracle_path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):

@@ -13,7 +13,8 @@ from quatstar.errors import DomainError
 from quatstar.expr import evaluate_text
 from quatstar.oracle import random_qpoly, random_quaternion
 from quatstar.poly import (EXPONENT_LIMIT, NU as NU_INDEX, QPolynomial, VARIABLES, ZERO_MONO,
-                           add_rows, gen_q, gen_qbar, mono_text, mul_rows, var_index)
+                           add_partial_rows, add_rows, gen_q, gen_qbar, mono_text, mul_rows,
+                           var_index, var_mono)
 from quatstar.quat import GROUP_ELEMENTS, I, J, K, ONE, Quaternion
 from quatstar.star import PAIRS, pair_indices, star
 
@@ -207,6 +208,25 @@ def test_gradient_equals_the_four_partials():
     cases += [QPolynomial.zero(), QPolynomial.constant(Fraction(-3, 4)), gen_q() ** 3]
     for p in cases:
         assert p.gradient() == [p.partial(v) for v in range(4)]
+
+
+def test_partial_rows_equal_shifted_scaled_partials():
+    rng = Random(18)
+    theta_ab = var_mono(var_index("Theta_ab"))
+    factors = ((1, ZERO_MONO, QPolynomial.constant(1)),
+               (-3, theta_ab, QPolynomial.variable("Theta_ab") * -3))
+    for _ in range(30):
+        p = random_qpoly(rng, 4, 4, True)
+        den = p.denominator()
+        for idx in range(4):
+            for k, shift, factor in factors:
+                acc = {}
+                add_partial_rows(acc, p.rows(den), idx, k, shift)
+                result = add_rows({}, acc.items(), Fraction(1, den))
+                assert QPolynomial.from_terms(result) == p.partial(idx) * factor
+    at_limit = QPolynomial({_mono(b=1, Theta_ab=EXPONENT_LIMIT): 1})
+    with pytest.raises(DomainError, match="exponent overflow"):
+        add_partial_rows({}, at_limit.rows(1), var_index("b"), 1, theta_ab)
 
 
 def test_partials_commute():

@@ -1,10 +1,13 @@
 """Poisson brackets and the terminating star product."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import quatstar.poly
 from quatstar.errors import DomainError
 from quatstar.oracle import random_qpoly
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
@@ -218,3 +221,15 @@ def test_theta_spec_validation():
 def test_bad_configs_are_domain_errors(build):
     with pytest.raises(DomainError):
         build()
+
+
+def test_star_leaves_the_packed_format_to_poly():
+    """`star.py` takes no underscore-prefixed name from `poly` and does not
+    import the module itself, so only `poly` knows the monomial format."""
+    path = Path(quatstar.poly.__file__).with_name("star.py")
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "poly":
+            assert not [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not any(alias.name == "poly" or alias.name.endswith(".poly")
+                           for alias in node.names)
