@@ -9,9 +9,10 @@ Grammar (whitespace separates tokens but is otherwise ignored):
     primary := RATIONAL | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 A RATIONAL is digits optionally followed immediately by '/' and digits
-("3", "2/3"); there is no division operator.  '^' binds tighter than
-juxtaposition, juxtaposition binds exactly like '*', and a juxtaposed
-factor may not start with '-' (so "a -b" is a subtraction).  Names are the
+("3", "2/3"), over a nonzero denominator; there is no division operator.
+'^' binds tighter than juxtaposition, juxtaposition binds exactly like '*',
+and a juxtaposed factor may not start with '-' (so "a -b" is a
+subtraction).  Names are the
 generators q and qbar, the units i, j, k, the eleven variables, and the
 call forms star(f,g), comm(f,g), assoc(f,g,h), conj(f), pb_mn(f,g) with
 mn one of ab, ac, ad, bc, bd, cd.  Call arity is checked at parse time, and
@@ -54,13 +55,13 @@ def tokenize(text: str) -> list:
             pos += 1
             continue
         col = pos + 1
-        if ch.isdigit():
+        if ch.isdecimal():
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
-            if pos < n and text[pos] == "/" and pos + 1 < n and text[pos + 1].isdigit():
+            if pos < n and text[pos] == "/" and pos + 1 < n and text[pos + 1].isdecimal():
                 pos += 1
-                while pos < n and text[pos].isdigit():
+                while pos < n and text[pos].isdecimal():
                     pos += 1
             tokens.append(Token("number", text[start:pos], col))
             continue
@@ -97,19 +98,8 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
+class BinOp:
+    op: str     # "+", "-" or "*"
     left: object
     right: object
 
@@ -180,9 +170,7 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
+            node = BinOp(self.advance().kind, node, self.term())
         return node
 
     def term(self):
@@ -190,14 +178,12 @@ class _Parser:
             return Neg(self.nested(self.term, self.advance()))
         node = self.factor()
         while True:
-            tok = self.peek()
-            if tok.kind == "*":
+            kind = self.peek().kind
+            if kind == "*":
                 self.advance()
-                node = Mul(node, self.factor())
-            elif tok.kind in _PRIMARY_STARTS:
-                node = Mul(node, self.factor())
-            else:
+            elif kind not in _PRIMARY_STARTS:
                 return node
+            node = BinOp("*", node, self.factor())
 
     def factor(self):
         node = self.primary()
@@ -216,7 +202,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(Fraction(tok.text))
+            try:
+                return Num(Fraction(tok.text))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", tok.column, token=tok.text) from None
         if tok.kind == "(":
             node = self.nested(self.expr, self.advance())
             self.expect(")", "')'")
@@ -272,7 +261,7 @@ def _atom_poly(ident: str) -> QPolynomial:
     return QPolynomial.variable(ident)
 
 
-_CHAIN_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+_CHAIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _backend_fns(backend: str):
@@ -300,16 +289,16 @@ def lower(node, config: StarConfig = DEFAULT_CONFIG,
             return _atom_poly(n.ident)
         if isinstance(n, Neg):
             return -go(n.operand)
-        if type(n) in _CHAIN_OPS:
+        if isinstance(n, BinOp):
             # The parser builds flat sums and products as left-deep chains:
             # walk the left spine without recursion, then fold left to right.
             spine = []
-            while type(n) in _CHAIN_OPS:
+            while isinstance(n, BinOp):
                 spine.append(n)
                 n = n.left
             acc = go(n)
             for link in reversed(spine):
-                acc = _CHAIN_OPS[type(link)](acc, go(link.right))
+                acc = _CHAIN_OPS[link.op](acc, go(link.right))
             return acc
         if isinstance(n, Pow):
             return go(n.base) ** n.exponent

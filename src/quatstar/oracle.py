@@ -178,10 +178,6 @@ def random_qpoly(rng: Random, max_position_degree: int = 4, max_terms: int = 4,
     return QPolynomial(terms)
 
 
-def random_point(rng: Random, names) -> dict:
-    return {name: random_rational(rng) for name in names}
-
-
 def find_disagreement_point(lhs: QPolynomial, rhs: QPolynomial,
                             trials: int = 50, seed: int = 0):
     """A rational assignment where the two sides differ, or None."""
@@ -189,7 +185,7 @@ def find_disagreement_point(lhs: QPolynomial, rhs: QPolynomial,
                    key=VARIABLES.index)
     rng = Random(seed)
     for _ in range(trials):
-        point = random_point(rng, names)
+        point = {name: random_rational(rng) for name in names}
         if lhs.evaluate(point) != rhs.evaluate(point):
             return point
     return None

@@ -30,9 +30,10 @@ one-off, where converting both operands to rows costs more than it saves.
 
 Canonical term order is graded lexicographic, highest first (total degree,
 then exponent tuple with `a` most significant).  Canonical text renders each
-term as `<coefficient> <monomial>`: single-component coefficients print bare
-with their sign pulled out ("-2 k c", "i b", "a^2"), multi-component
-coefficients print parenthesized ("(1 + i) a b").
+term as `<coefficient> <monomial>` with the coefficient's `quat_text`: a
+single component's sign is pulled out and a real 1 before a monomial is
+left out ("-2 k c", "i b", "a^2"); a parenthesized multi-component
+coefficient stays as it is ("(1 + i) a b").
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError
-from .quat import ONE, Quaternion, quat_parts_text, _part_text, _quat, _UNIT_NAMES
+from .quat import ONE, Quaternion, _quat, quat_text
 
 VARIABLES = ("a", "b", "c", "d", "nu",
              "Theta_ab", "Theta_ac", "Theta_ad",
@@ -278,15 +279,13 @@ class QPolynomial:
             return -1
         return max(m >> _SHIFTS[NU] & _FIELD_MASK for m in self._terms)
 
-    def denominator(self) -> int:
-        """The lcm of the coefficient denominators (1 for the zero polynomial)."""
-        return lcm(*(c.den for c in self._terms.values()))
-
-    def rows(self, den: int) -> dict:
-        """The terms as integer rows {mono: (n0, n1, n2, n3)} over `den`, a
-        multiple of `denominator()`."""
+    def rows(self) -> tuple:
+        """(rows, den): the terms as integer rows {mono: (n0, n1, n2, n3)}
+        over den, the lcm of the coefficient denominators (1 for the zero
+        polynomial)."""
+        den = lcm(*(c.den for c in self._terms.values()))
         return {m: (c.n0 * (k := den // c.den), c.n1 * k, c.n2 * k, c.n3 * k)
-                for m, c in self._terms.items()}
+                for m, c in self._terms.items()}, den
 
     def variables_used(self) -> set:
         return {VARIABLES[idx] for m in self._terms for idx, exp in enumerate(_unpack(m)) if exp}
@@ -369,8 +368,8 @@ class QPolynomial:
             if any(max(_unpack(m)) * n > EXPONENT_LIMIT for m in self._terms):
                 raise DomainError(_OVERFLOW)
             return QPolynomial.from_terms({m * n: _quat_pow(c, n) for m, c in self._terms.items()})
-        den = self.denominator()
-        base = power = self.rows(den).items()
+        rows, den = self.rows()
+        base = power = rows.items()
         for _ in range(n - 1):
             acc = {}
             mul_rows(acc, power, base)
@@ -447,41 +446,23 @@ class QPolynomial:
     # --- text ---
 
     def canonical_text(self) -> str:
-        if not self._terms:
-            return "0"
         pieces = []
         for mono, coeff in self.terms():
-            negative, body = _term_text(mono, coeff)
-            if not pieces:
-                pieces.append(f"-{body}" if negative else body)
-            else:
-                pieces.append((" - " if negative else " + ") + body)
-        return "".join(pieces)
+            ctext, mtext = quat_text(coeff), mono_text(mono)
+            sign = " - " if ctext[0] == "-" else " + "
+            ctext = ctext.lstrip("-")
+            body = mtext if ctext == "1" and mtext else f"{ctext} {mtext}".rstrip()
+            pieces.append(sign + body)
+        if not pieces:
+            return "0"
+        text = "".join(pieces)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __str__(self):
         return self.canonical_text()
 
     def __repr__(self):
         return f"QPolynomial<{self.canonical_text()}>"
-
-
-def _term_text(mono: tuple, coeff: Quaternion):
-    """Render one term; returns (sign_extracted, unsigned_body)."""
-    mtext = mono_text(mono)
-    comps = coeff.components()
-    nonzero = [idx for idx, v in enumerate(comps) if v]
-    if len(nonzero) > 1:
-        body = f"({quat_parts_text(coeff)})"
-        return False, f"{body} {mtext}" if mtext else body
-    idx = nonzero[0]
-    value = comps[idx]
-    if not idx and abs(value) == 1 and mtext:
-        coeff_body = ""
-    else:
-        coeff_body = _part_text(value, _UNIT_NAMES[idx])
-    if coeff_body and mtext:
-        return value < 0, f"{coeff_body} {mtext}"
-    return value < 0, coeff_body or mtext
 
 
 def gen_q() -> QPolynomial:

@@ -64,9 +64,6 @@ class Quaternion:
     def is_zero(self) -> bool:
         return not (self.n0 or self.n1 or self.n2 or self.n3)
 
-    def is_real(self) -> bool:
-        return not (self.n1 or self.n2 or self.n3)
-
     def _is_integral(self) -> bool:
         return self.den == 1
 
@@ -154,35 +151,18 @@ def commutator(x: Quaternion, y: Quaternion) -> Quaternion:
     return x * y - y * x
 
 
-def _part_text(value: Fraction, unit: str) -> str:
-    """Unsigned text of one component, e.g. '2/3 j', 'i', '5'."""
-    mag = abs(value)
-    if not unit:
-        return str(mag)
-    if mag == 1:
-        return unit
-    return f"{mag} {unit}"
-
-
-def quat_parts_text(q: Quaternion) -> str:
-    """Signed sum of the nonzero components, without enclosing parens."""
+def quat_text(q: Quaternion) -> str:
+    """Canonical text: '0', a bare signed single component ('-2/3 j', 'i',
+    '5'), or the signed sum of the nonzero components in parentheses
+    ('(1 - 2 k)')."""
     pieces = []
     for value, unit in zip(q.components(), _UNIT_NAMES):
-        if not value:
-            continue
-        body = _part_text(value, unit)
-        if not pieces:
-            pieces.append(f"-{body}" if value < 0 else body)
-        else:
+        if value:
+            mag = abs(value)
+            body = str(mag) if not unit else unit if mag == 1 else f"{mag} {unit}"
             pieces.append((" - " if value < 0 else " + ") + body)
-    return "".join(pieces)
-
-
-def quat_text(q: Quaternion) -> str:
-    """Canonical text: '0', a bare single component, or a parenthesized sum."""
-    n_parts = sum(1 for v in q.components() if v)
-    if n_parts == 0:
+    if not pieces:
         return "0"
-    if n_parts == 1:
-        return quat_parts_text(q)
-    return f"({quat_parts_text(q)})"
+    text = "".join(pieces)
+    text = text[3:] if text[1] == "+" else "-" + text[3:]
+    return text if len(pieces) == 1 else f"({text})"

@@ -161,9 +161,9 @@ def _order_rows(f, g, theta, max_order, first_order=1):
     for m, n, theta_mono, value in factors:
         steps[m].append((n, theta_mono, value))
         steps[n].append((m, theta_mono, -value))
-    f_den, g_den = f.denominator(), g.denominator()
+    (f_rows, f_den), (g_rows, g_den) = f.rows(), g.rows()
     # level[alpha]: (rows of d^alpha f, rows of D^alpha g, s!/alpha!)
-    level = {ZERO_MONO: (f.rows(f_den), g.rows(g_den), 1)}
+    level = {ZERO_MONO: (f_rows, g_rows, 1)}
     s = 0
     while level and s != max_order:
         s += 1
@@ -214,13 +214,15 @@ def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) ->
 
 def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
                     config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
-    """The coefficient of nu^s in the star expansion (nu kept formal)."""
+    """The coefficient of nu^s in the star expansion (nu kept formal); zero
+    past the cap and past the series end, the smaller position degree."""
     if s < 0:
         raise DomainError("correction order must be non-negative")
     if s == 0:
         return f * g
     data = {}
-    if config.order_cap is None or s <= config.order_cap:
+    if ((config.order_cap is None or s <= config.order_cap)
+            and s <= min(f.position_degree(), g.position_degree())):
         for _, rows, den in _order_rows(f, g, config.theta, s, s):
             add_rows(data, rows, _prefactor(s) / den)
     return QPolynomial.from_terms(data)

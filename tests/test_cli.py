@@ -65,6 +65,13 @@ def test_eval_parse_error_reports_column(capsys):
     assert "column 4" in err
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "3/0 a", "a^²"])
+def test_eval_bad_number_is_parse_error(capsys, text):
+    code, out, err = run_cli(capsys, "eval", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: column ") and err.count("\n") == 1
+
+
 def test_eval_unknown_name(capsys):
     code, _, err = run_cli(capsys, "eval", "frob(q)")
     assert code == 2

@@ -148,6 +148,22 @@ def test_parse_error_bad_exponent():
         evaluate_text("a^(2)")
 
 
+@pytest.mark.parametrize("text, column", [("1/0", 1), ("0/0", 1), ("3/0 a", 1),
+                                          ("a + 2/00", 5)])
+def test_zero_denominator_is_parse_error(text, column):
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        evaluate_text(text)
+    assert err.value.column == column
+
+
+def test_numbers_are_decimal_digits_only():
+    # "²" is a digit to str.isdigit but no decimal digit to int() or Fraction().
+    for text, column in (("a^²", 3), ("a ²", 3), ("²", 1)):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            evaluate_text(text)
+        assert err.value.column == column
+
+
 def test_fraction_token_requires_tight_slash():
     with pytest.raises(ParseError):
         evaluate_text("3 / 2")

@@ -135,10 +135,10 @@ def test_powers():
 
 def _row_product(x, y):
     """x * y through the integer-row kernel: one row each, converted back once."""
-    px, py = QPolynomial.constant(x), QPolynomial.constant(y)
+    (rx, dx), (ry, dy) = QPolynomial.constant(x).rows(), QPolynomial.constant(y).rows()
     acc = {}
-    mul_rows(acc, px.rows(px.denominator()).items(), py.rows(py.denominator()).items())
-    data = add_rows({}, acc.items(), Fraction(1, px.denominator() * py.denominator()))
+    mul_rows(acc, rx.items(), ry.items())
+    data = add_rows({}, acc.items(), Fraction(1, dx * dy))
     return data.get(ZERO_MONO, Quaternion())
 
 
@@ -217,16 +217,16 @@ def test_partial_rows_equal_shifted_scaled_partials():
                (-3, theta_ab, QPolynomial.variable("Theta_ab") * -3))
     for _ in range(30):
         p = random_qpoly(rng, 4, 4, True)
-        den = p.denominator()
+        rows, den = p.rows()
         for idx in range(4):
             for k, shift, factor in factors:
                 acc = {}
-                add_partial_rows(acc, p.rows(den), idx, k, shift)
+                add_partial_rows(acc, rows, idx, k, shift)
                 result = add_rows({}, acc.items(), Fraction(1, den))
                 assert QPolynomial.from_terms(result) == p.partial(idx) * factor
     at_limit = QPolynomial({_mono(b=1, Theta_ab=EXPONENT_LIMIT): 1})
     with pytest.raises(DomainError, match="exponent overflow"):
-        add_partial_rows({}, at_limit.rows(1), var_index("b"), 1, theta_ab)
+        add_partial_rows({}, at_limit.rows()[0], var_index("b"), 1, theta_ab)
 
 
 def test_partials_commute():

@@ -226,8 +226,6 @@ def test_inverse():
 def test_predicates_and_hash():
     assert ZERO.is_zero()
     assert not I.is_zero()
-    assert Quaternion(3).is_real()
-    assert not Quaternion(3, 1).is_real()
     assert hash(Quaternion(1, 2, 3, 4)) == hash(Quaternion(1, 2, 3, 4))
     assert Quaternion(1) != "1"
 

@@ -1,6 +1,7 @@
 """Poisson brackets and the terminating star product."""
 
 import ast
+import importlib
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -131,6 +132,20 @@ def test_star_order_term():
     assert first == (_const(K) * theta_bc - _const(J) * theta_bd
                      + _const(I) * theta_cd)
     assert star_order_term(Q, Q, 2).is_zero()
+
+
+def test_star_order_term_past_the_series_end_walks_no_levels(monkeypatch):
+    # The series ends at the smaller position degree, so no level is walked past it.
+    def no_walk(*args):
+        raise AssertionError("_order_rows called past the series end")
+
+    f, g = Q ** 3, QBAR ** 2 * QPolynomial.variable("nu") ** 4
+    monkeypatch.setattr(importlib.import_module("quatstar.star"), "_order_rows", no_walk)
+    for s in (3, 4, 7):
+        assert star_order_term(f, g, s).is_zero()
+    assert star_order_term(f, QPolynomial.zero(), 1).is_zero()
+    with pytest.raises(AssertionError, match="past the series end"):
+        star_order_term(f, g, 2)
 
 
 def test_star_with_zero_theta_or_zero_nu():
