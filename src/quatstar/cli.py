@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from random import Random
 
 from .errors import (DomainError, OracleDivergenceError, ParseError,
                      UnknownIdentityError)
 from . import oracle as _oracle
 from . import verify as _verify
-from .expr import evaluate_text
+from .expr import Neg, Num, evaluate_text, parse_expression
 from .poly import QPolynomial
 from .star import PAIRS, StarConfig, ThetaSpec
 from .star import star as _engine_star
@@ -35,38 +34,40 @@ EXIT_DIVERGENCE = 4
 EXIT_COUNTEREXAMPLE = 5
 
 
-def _parse_theta(text: str) -> ThetaSpec:
+def _rational(text: str):
+    """A rational written as in expressions ('3', '2/3'), optionally negated."""
+    try:
+        node = parse_expression(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(f"bad rational: {exc}") from None
+    value = node.operand if isinstance(node, Neg) else node
+    if not isinstance(value, Num):
+        raise argparse.ArgumentTypeError(f"expected a rational like 2/3, got {text!r}")
+    return value.value if value is node else -value.value
+
+
+def _theta(text: str) -> ThetaSpec:
+    """argparse type of --theta: 'formal', 'zero' or pair=value assignments."""
     if text == "formal":
         return ThetaSpec.formal()
     if text == "zero":
         return ThetaSpec.zero()
     values = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ValueError(
-                f"bad theta assignment {chunk!r}; expected pair=value")
-        name, _, value = chunk.partition("=")
-        name = name.strip()
-        if name not in PAIRS:
-            raise ValueError(
-                f"unknown index pair {name!r}; choose from {', '.join(PAIRS)}")
-        try:
-            values[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad rational value {value.strip()!r} for {name}")
-    return ThetaSpec.numeric(values)
-
-
-def _parse_nu(text: str):
-    if text == "formal":
-        return "formal"
+    for chunk in filter(str.strip, text.split(",")):
+        name, eq, value = chunk.partition("=")
+        if not eq:
+            raise argparse.ArgumentTypeError(
+                f"bad theta assignment {chunk.strip()!r}; expected pair=value")
+        values[name.strip()] = _rational(value)
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad rational value {text!r} for --nu")
+        return ThetaSpec.numeric(values)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _nu(text: str):
+    """argparse type of --nu: 'formal' or a rational."""
+    return text if text == "formal" else _rational(text)
 
 
 def _count(text: str) -> int:
@@ -77,15 +78,13 @@ def _count(text: str) -> int:
 
 
 def _config_from_args(args) -> StarConfig:
-    return StarConfig(theta=_parse_theta(args.theta),
-                      nu=_parse_nu(args.nu),
-                      order_cap=args.order_cap)
+    return StarConfig(theta=args.theta, nu=args.nu, order_cap=args.order_cap)
 
 
 def _add_config_flags(parser):
-    parser.add_argument("--theta", default="formal",
+    parser.add_argument("--theta", type=_theta, default="formal",
                         help="'formal', 'zero', or assignments like 'ab=1,cd=-2'")
-    parser.add_argument("--nu", default="formal",
+    parser.add_argument("--nu", type=_nu, default="formal",
                         help="'formal' or a rational value like 1/2")
     parser.add_argument("--order-cap", type=int, default=None,
                         help="truncate star corrections above this order")
@@ -108,11 +107,10 @@ def _cmd_verify(args) -> int:
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-                if not rendered.endswith("\n"):
-                    handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+                handle.write(rendered if rendered.endswith("\n") else rendered + "\n")
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            print(f"error: cannot write {args.out}: {getattr(exc, 'strerror', 0) or exc}",
+                  file=sys.stderr)
             return EXIT_USAGE
     else:
         print(rendered)
@@ -159,14 +157,6 @@ def _cmd_fuzz(args) -> int:
             print(f"  engine: {_engine_star(f2, g2, config).canonical_text()}")
             print(f"  oracle: {_oracle.star_oracle(f2, g2, config).canonical_text()}")
             return EXIT_COUNTEREXAMPLE
-        if config.nu == "formal" and config.theta.is_formal():
-            zeroth = engine.coefficient_of_nu_power(0) - (f * g)
-            if f.nu_degree() < 1 and g.nu_degree() < 1 and not zeroth.is_zero():
-                print(f"counterexample at trial {trial}: "
-                      f"order-0 term differs from the plain product")
-                print(f"  f = {f.canonical_text()}")
-                print(f"  g = {g.canonical_text()}")
-                return EXIT_COUNTEREXAMPLE
     print(f"ok: {args.trials} trials, engine and oracle agree")
     return EXIT_OK
 
@@ -237,7 +227,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnknownIdentityError, ValueError) as exc:
+    except UnknownIdentityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:

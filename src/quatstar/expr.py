@@ -9,20 +9,21 @@ Grammar (whitespace separates tokens but is otherwise ignored):
     primary := RATIONAL | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 A RATIONAL is digits optionally followed immediately by '/' and digits
-("3", "2/3"), over a nonzero denominator; there is no division operator.
-'^' binds tighter than juxtaposition, juxtaposition binds exactly like '*',
-and a juxtaposed factor may not start with '-' (so "a -b" is a
-subtraction).  Names are the
-generators q and qbar, the units i, j, k, the eleven variables, and the
-call forms star(f,g), comm(f,g), assoc(f,g,h), conj(f), pb_mn(f,g) with
-mn one of ab, ac, ad, bc, bd, cd.  Call arity is checked at parse time, and
-so is nesting: parentheses, call arguments and unary minus signs nest at
-most MAX_NESTING deep.
+("3", "2/3"), over a nonzero denominator, with no more digits in either
+integer than Python's int/str limit; there is no division operator.  '^'
+binds tighter than juxtaposition, juxtaposition binds exactly like '*', and
+a juxtaposed factor may not start with '-' (so "a -b" is a subtraction).
+Names are the generators q and qbar, the units i, j, k, the eleven
+variables, and the call forms star(f,g), comm(f,g), assoc(f,g,h), conj(f),
+pb_mn(f,g) with mn one of ab, ac, ad, bc, bd, cd.  Call arity is checked at
+parse time, and so is nesting: parentheses, call arguments and unary minus
+signs nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,6 +150,17 @@ class _Parser:
                              expected=(expected_desc or repr(kind),))
         return self.advance()
 
+    def number(self) -> Fraction:
+        """Take a number token: its value, or a ParseError at its column."""
+        tok = self.advance()
+        try:
+            return Fraction(*map(int, tok.text.split("/")))
+        except ZeroDivisionError:
+            raise ParseError("zero denominator", tok.column, token=tok.text) from None
+        except ValueError:  # a part past Python's int/str digit limit
+            raise ParseError(f"integer over {sys.get_int_max_str_digits()} digits",
+                             tok.column) from None
+
     def nested(self, parse, tok):
         """parse() one nesting level below `tok`, the token that opened it."""
         if self.depth >= MAX_NESTING:
@@ -194,18 +206,13 @@ class _Parser:
                 raise ParseError("exponent must be a natural number", tok.column,
                                  token=tok.text or "end of input",
                                  expected=("natural number",))
-            self.advance()
-            node = Pow(node, int(tok.text))
+            node = Pow(node, self.number().numerator)
         return node
 
     def primary(self):
         tok = self.peek()
         if tok.kind == "number":
-            self.advance()
-            try:
-                return Num(Fraction(tok.text))
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", tok.column, token=tok.text) from None
+            return Num(self.number())
         if tok.kind == "(":
             node = self.nested(self.expr, self.advance())
             self.expect(")", "')'")

@@ -16,8 +16,11 @@ the squared norm x0^2 + x1^2 + x2^2 + x3^2 is multiplicative.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+
+from .errors import DomainError
 
 _UNIT_NAMES = ("", "i", "j", "k")
 
@@ -116,7 +119,6 @@ class Quaternion:
         # conj(q) / |q|^2 = (conj numerators * den) / (sum of squared numerators)
         n = self.n0 * self.n0 + self.n1 * self.n1 + self.n2 * self.n2 + self.n3 * self.n3
         if not n:
-            from .errors import DomainError
             raise DomainError("zero quaternion has no inverse")
         d = self.den
         return _quat(self.n0 * d, -self.n1 * d, -self.n2 * d, -self.n3 * d, n)
@@ -154,13 +156,16 @@ def commutator(x: Quaternion, y: Quaternion) -> Quaternion:
 def quat_text(q: Quaternion) -> str:
     """Canonical text: '0', a bare signed single component ('-2/3 j', 'i',
     '5'), or the signed sum of the nonzero components in parentheses
-    ('(1 - 2 k)')."""
+    ('(1 - 2 k)').  An integer past Python's int/str limit is a DomainError."""
     pieces = []
-    for value, unit in zip(q.components(), _UNIT_NAMES):
-        if value:
-            mag = abs(value)
-            body = str(mag) if not unit else unit if mag == 1 else f"{mag} {unit}"
-            pieces.append((" - " if value < 0 else " + ") + body)
+    try:
+        for value, unit in zip(q.components(), _UNIT_NAMES):
+            if value:
+                mag = abs(value)
+                body = str(mag) if not unit else unit if mag == 1 else f"{mag} {unit}"
+                pieces.append((" - " if value < 0 else " + ") + body)
+    except ValueError:  # past Python's int/str digit limit
+        raise DomainError(f"coefficient over {sys.get_int_max_str_digits()} digits") from None
     if not pieces:
         return "0"
     text = "".join(pieces)

@@ -93,12 +93,9 @@ class ThetaSpec:
 
     @classmethod
     def numeric(cls, mapping) -> "ThetaSpec":
-        values = [0] * 6
-        for pair, value in mapping.items():
-            if pair not in _PAIR_INDICES:
-                raise DomainError(f"unknown bracket pair {pair!r}")
-            values[PAIRS.index(pair)] = value
-        return cls(tuple(values))
+        for pair in mapping:
+            pair_indices(pair)  # a DomainError naming the six pairs if unknown
+        return cls(tuple(mapping.get(pair, 0) for pair in PAIRS))
 
     def is_formal(self) -> bool:
         return self.values is None

@@ -1,10 +1,17 @@
 """Command line interface: subcommands, outputs, and exit codes."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import quatstar.cli as cli
+import quatstar.errors
 import quatstar.oracle
 from quatstar.errors import DomainError
 from quatstar.expr import evaluate_text
@@ -151,6 +158,86 @@ def test_bad_theta_and_nu_flags(capsys):
     assert run_cli(capsys, "eval", "--order-cap", "-1", "q")[0] == 3
 
 
+@pytest.mark.parametrize("flag, value", [("--theta", "ab=x"), ("--theta", "ab=1=2"),
+                                         ("--theta", "=1"), ("--theta", "zz=1"),
+                                         ("--theta", "ab"), ("--nu", "half"), ("--nu", "1/0"),
+                                         ("--nu", "0.5"), ("--nu", "1e3"), ("--nu", "1_000")])
+def test_bad_flag_value_is_one_argparse_error(capsys, flag, value):
+    # Flag rationals are read with the expression grammar: p/q, no decimals or exponents.
+    code, out, err = run_cli(capsys, "eval", flag, value, "q")
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"quatstar eval: error: argument {flag}: ")
+
+
+def test_nu_with_a_huge_exponent_is_rejected_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--nu", "1e10000000", "star(a, b)")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "argument --nu: " in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--theta", "ab=1/2,cd=-2", "--nu", "1", "star(q, q) - q^2"), "-2 i"),
+    (("--nu=-2/3", "star(a, b)"), "a b - 1/3 Theta_ab"),
+    (("--theta", "ab=1,,cd=2", "star(a, b)"), "a b + 1/2 nu"),
+    (("--theta", " ab = 1 , cd=2/4", "--nu", " 2 ", "star(a, b)"), "a b + 1")],
+    ids=["negative-theta", "negative-nu", "empty-chunk", "spaces"])
+def test_flag_rationals_that_stay_accepted(capsys, argv, expected):
+    # A leading minus needs the '=' form (--nu=-2/3), as argparse reads "-2/3" as an option.
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_result_past_the_digit_limit_is_domain_error(capsys):
+    # 10^4300 has 4,301 digits, one more than Python's default int/str limit.
+    code, out, err = run_cli(capsys, "eval", "(10^430)^10")
+    assert (code, out) == (3, "")
+    assert err.startswith("evaluation error: coefficient over ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("prefix, column", [("", 1), ("a^", 3)])
+def test_literal_past_the_digit_limit_is_parse_error(capsys, prefix, column):
+    code, out, err = run_cli(capsys, "eval", prefix + "7" * 4401)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: column {column}: ") and err.count("\n") == 1
+
+
+def test_main_catches_only_package_errors():
+    # A builtin such as ValueError in main's handlers would turn a fault anywhere
+    # below it into a usage exit; SystemExit is caught around parse_args only.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    tries = [node for node in ast.walk(main) if isinstance(node, ast.Try)]
+    assert len(tries) == 2
+    for node in tries:
+        parses_args = any(isinstance(sub, ast.Attribute) and sub.attr == "parse_args"
+                          for stmt in node.body for sub in ast.walk(stmt))
+        for handler in node.handlers:
+            names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            for name in names:
+                assert isinstance(name, ast.Name), ast.dump(handler)
+                if name.id == "SystemExit":
+                    assert parses_args
+                    continue
+                cls = vars(quatstar.errors).get(name.id)
+                assert isinstance(cls, type) and issubclass(cls, quatstar.errors.QuatstarError), name.id
+
+
+def test_module_entry_point_exit_codes():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for argv, code in ((("eval", "star(q, qbar)"), 0), (("eval", "q +"), 2),
+                       (("eval", "--nu", "0.5", "q"), 2), (("eval", "a^2000000"), 3)):
+        proc = subprocess.run([sys.executable, "-m", "quatstar.cli", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert bool(proc.stdout) == (code == 0) and bool(proc.stderr) == (code != 0)
+
+
 def test_verify_single_identity(capsys):
     code, out, _ = run_cli(capsys, "verify", "--id", "V8.1")
     assert code == 0
@@ -181,6 +268,13 @@ def test_verify_unwritable_out_path(capsys, tmp_path):
     assert not out
     assert err.count("\n") == 1
     assert str(target) in err and "No such file or directory" in err
+
+
+def test_verify_out_path_with_a_nul_byte(capsys, tmp_path):
+    # The command line cannot pass a NUL byte, but cli.main can; open() raises ValueError.
+    code, out, err = run_cli(capsys, "verify", "--id", "V8.1", "--out", f"{tmp_path}/a\0b")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith(": embedded null byte\n")
 
 
 def test_verify_group_json_stdout(capsys):

@@ -164,6 +164,14 @@ def test_numbers_are_decimal_digits_only():
         assert err.value.column == column
 
 
+@pytest.mark.parametrize("prefix, column", [("", 1), ("a^", 3), ("a + 1/", 5)])
+def test_number_past_the_digit_limit_is_parse_error(prefix, column):
+    # 4,401 digits, past Python's default int/str limit of 4,300.
+    with pytest.raises(ParseError, match="integer over 4300 digits") as err:
+        evaluate_text(prefix + "7" * 4401)
+    assert err.value.column == column
+
+
 def test_fraction_token_requires_tight_slash():
     with pytest.raises(ParseError):
         evaluate_text("3 / 2")

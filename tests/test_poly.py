@@ -190,6 +190,21 @@ def test_malformed_monomials_are_rejected(mono):
         A.coefficient(mono)
 
 
+def test_out_of_range_arguments_are_rejected():
+    for idx in (11, -1):
+        with pytest.raises(DomainError, match="out of range"):
+            var_index(idx)
+    with pytest.raises(DomainError, match="exponent overflow"):
+        var_mono(0, EXPONENT_LIMIT + 1)
+    with pytest.raises(TypeError, match="coefficients must be quaternions or rationals"):
+        QPolynomial([((0,) * 11, "1")])
+
+
+def test_scaling_by_zero_is_the_zero_polynomial():
+    for product in (gen_q() * 0, 0 * gen_q(), gen_q() * Fraction(0)):
+        assert product == QPolynomial() and product.is_zero() and str(product) == "0"
+
+
 def test_partial_derivatives():
     p = A * A * B + C
     assert p.partial("a") == 2 * A * B

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from quatstar.errors import UnknownIdentityError
+from quatstar.expr import evaluate_text
 from quatstar.verify import (
+    _point_witness,
     COVERAGE,
     ENGINE_VERSION,
     MATCH,
@@ -113,6 +115,12 @@ def test_jacobi_witness_names_the_triple():
     assert record.status == MATCH
     assert "mn = ab" in record.witness
     assert "f = q, g = q^2, h = q^2" in record.witness
+
+
+def test_point_witness_searches_when_the_canonical_point_agrees():
+    # a - 1 and 0 take the same value at the canonical point a = 1.
+    witness = _point_witness(evaluate_text("a - 1"), evaluate_text("0"), "a - 1", "0")
+    assert witness == "at a = 3/4: a - 1 = -1/4, 0 = 0"
 
 
 def test_run_matching_prefixes():
