@@ -59,6 +59,9 @@ def _theta(text: str) -> ThetaSpec:
             raise argparse.ArgumentTypeError(
                 f"bad theta assignment {chunk.strip()!r}; expected pair=value")
         values[name.strip()] = _rational(value)
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"no pair=value assignment in {text!r}; Theta = 0 is spelled 'zero'")
     try:
         return ThetaSpec.numeric(values)
     except DomainError as exc:

@@ -15,7 +15,7 @@ binds tighter than juxtaposition, juxtaposition binds exactly like '*', and
 a juxtaposed factor may not start with '-' (so "a -b" is a subtraction).
 Names are the generators q and qbar, the units i, j, k, the eleven
 variables, and the call forms star(f,g), comm(f,g), assoc(f,g,h), conj(f),
-pb_mn(f,g) with mn one of ab, ac, ad, bc, bd, cd.  Call arity is checked at
+pb_mn(f,g) with mn one of the six `PAIRS`, ab .. cd.  Call arity is checked at
 parse time, and so is nesting: parentheses, call arguments and unary minus
 signs nest at most MAX_NESTING deep.
 """
@@ -23,12 +23,13 @@ signs nest at most MAX_NESTING deep.
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import QPolynomial, VARIABLES, gen_q, gen_qbar
+from .poly import PAIRS, QPolynomial, VARIABLES, gen_q, gen_qbar
 from . import quat as _quat
 from .star import DEFAULT_CONFIG, StarConfig
 from .star import poisson_bracket as _engine_bracket
@@ -46,38 +47,26 @@ class Token:
     column: int  # 1-based
 
 
+# A number, a run of word characters, or any other single character; only
+# whitespace matches none of them, so finditer steps over it.
+_TOKEN = re.compile(r"(\d+(?:/\d+)?)|(\w+)|\S")
+
+
 def tokenize(text: str) -> list:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        col = pos + 1
-        if ch.isdecimal():
-            start = pos
-            while pos < n and text[pos].isdecimal():
-                pos += 1
-            if pos < n and text[pos] == "/" and pos + 1 < n and text[pos + 1].isdecimal():
-                pos += 1
-                while pos < n and text[pos].isdecimal():
-                    pos += 1
-            tokens.append(Token("number", text[start:pos], col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(Token("name", text[start:pos], col))
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, col))
-            pos += 1
-            continue
-        raise ParseError("unexpected character", col, token=ch)
-    tokens.append(Token("end", "", n + 1))
+    for match in _TOKEN.finditer(text):
+        number, word = match.groups()
+        tok, col = match.group(), match.start() + 1
+        if number:
+            kind = "number"
+        elif word and (tok[0].isalpha() or tok[0] == "_"):
+            kind = "name"
+        elif tok in _SYMBOLS:
+            kind = tok
+        else:
+            raise ParseError("unexpected character", col, token=tok[0])
+        tokens.append(Token(kind, tok, col))
+    tokens.append(Token("end", "", len(text) + 1))
     return tokens
 
 
@@ -118,7 +107,7 @@ class Call:
 
 
 _CALLS = {"star": 2, "comm": 2, "assoc": 3, "conj": 1,
-          "pb_ab": 2, "pb_ac": 2, "pb_ad": 2, "pb_bc": 2, "pb_bd": 2, "pb_cd": 2}
+          **{"pb_" + pair: 2 for pair in PAIRS}}
 _ATOMS = ("q", "qbar", "i", "j", "k") + VARIABLES
 
 _PRIMARY_STARTS = ("number", "name", "(")
@@ -142,12 +131,12 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind, expected_desc=None):
+    def close(self) -> Token:
+        """Take the ')' that ends a group or an argument list."""
         tok = self.peek()
-        if tok.kind != kind:
+        if tok.kind != ")":
             raise ParseError("unexpected token", tok.column,
-                             token=tok.text or "end of input",
-                             expected=(expected_desc or repr(kind),))
+                             token=tok.text or "end of input", expected=("')'",))
         return self.advance()
 
     def number(self) -> Fraction:
@@ -215,7 +204,7 @@ class _Parser:
             return Num(self.number())
         if tok.kind == "(":
             node = self.nested(self.expr, self.advance())
-            self.expect(")", "')'")
+            self.close()
             return node
         if tok.kind == "name":
             self.advance()
@@ -231,7 +220,7 @@ class _Parser:
                 while self.peek().kind == ",":
                     self.advance()
                     args.append(self.nested(self.expr, opener))
-                closer = self.expect(")", "')'")
+                closer = self.close()
                 want = _CALLS[tok.text]
                 if len(args) != want:
                     raise ParseError(

@@ -34,8 +34,7 @@ from math import factorial
 from random import Random
 
 from .errors import DomainError
-from .poly import (N_VARS, NU, VAR_INDEX, VARIABLES, ZERO_MONO, QPolynomial, add_term,
-                   mono_mul, var_mono)
+from .poly import N_VARS, NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_term, mono_mul, var_mono
 from .quat import Quaternion
 from .star import PAIRS, StarConfig, ThetaSpec, DEFAULT_CONFIG, pair_indices
 
@@ -177,15 +176,3 @@ def random_qpoly(rng: Random, max_position_degree: int = 4, max_terms: int = 4,
         terms.append((mono, random_quaternion(rng)))
     return QPolynomial(terms)
 
-
-def find_disagreement_point(lhs: QPolynomial, rhs: QPolynomial,
-                            trials: int = 50, seed: int = 0):
-    """A rational assignment where the two sides differ, or None."""
-    names = sorted(lhs.variables_used() | rhs.variables_used(),
-                   key=VARIABLES.index)
-    rng = Random(seed)
-    for _ in range(trials):
-        point = {name: random_rational(rng) for name in names}
-        if lhs.evaluate(point) != rhs.evaluate(point):
-            return point
-    return None

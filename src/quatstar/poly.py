@@ -39,16 +39,17 @@ coefficient stays as it is ("(1 + i) a b").
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .errors import DomainError
 from .quat import ONE, Quaternion, _quat, quat_text
 
-VARIABLES = ("a", "b", "c", "d", "nu",
-             "Theta_ab", "Theta_ac", "Theta_ad",
-             "Theta_bc", "Theta_bd", "Theta_cd")
-VAR_INDEX = {name: idx for idx, name in enumerate(VARIABLES)}
 POSITION_VARS = ("a", "b", "c", "d")
+# The six antisymmetric position pairs, ab .. cd.
+PAIRS = tuple(m + n for m, n in combinations(POSITION_VARS, 2))
+VARIABLES = POSITION_VARS + ("nu",) + tuple("Theta_" + pair for pair in PAIRS)
+VAR_INDEX = {name: idx for idx, name in enumerate(VARIABLES)}
 NU = VAR_INDEX["nu"]
 
 N_VARS = len(VARIABLES)

@@ -5,7 +5,7 @@ n0..n3 over one shared integer denominator den, in lowest terms: den > 0,
 gcd(n0, n1, n2, n3, den) == 1, and the zero quaternion has den == 1.  The
 form is canonical, so equal quaternions have equal fields, and every
 operation is integer arithmetic plus at most one gcd reduction (none when
-the result's denominator is 1).  The components x0..x3 read back as reduced
+the result's denominator is 1).  `components()` reads x0..x3 back as reduced
 `fractions.Fraction`s.  Multiplication follows the basis table
 
     i^2 = j^2 = k^2 = -1,   ij = k = -ji,   jk = i = -kj,   ki = j = -ik,
@@ -56,13 +56,10 @@ class Quaternion:
         self.n0, self.n1, self.n2, self.n3 = (x.numerator * (den // x.denominator) for x in xs)
         self.den = den
 
-    x0 = property(lambda self: Fraction(self.n0, self.den))
-    x1 = property(lambda self: Fraction(self.n1, self.den))
-    x2 = property(lambda self: Fraction(self.n2, self.den))
-    x3 = property(lambda self: Fraction(self.n3, self.den))
-
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.x0, self.x1, self.x2, self.x3)
+        """x0..x3 as reduced Fractions."""
+        d = self.den
+        return Fraction(self.n0, d), Fraction(self.n1, d), Fraction(self.n2, d), Fraction(self.n3, d)
 
     def is_zero(self) -> bool:
         return not (self.n0 or self.n1 or self.n2 or self.n3)
@@ -133,7 +130,7 @@ class Quaternion:
         return hash((self.n0, self.n1, self.n2, self.n3, self.den))
 
     def __repr__(self):
-        return f"Quaternion({self.x0!r}, {self.x1!r}, {self.x2!r}, {self.x3!r})"
+        return f"Quaternion({', '.join(map(repr, self.components()))})"
 
     def __str__(self):
         return quat_text(self)

@@ -24,21 +24,21 @@ Theta is constant, so B = sum_m d_m (x) D_m with D_m = sum_n Theta_mn d_n
     B^s = sum_{|alpha| = s} (s!/alpha!) d^alpha (x) D^alpha
 
 over derivative multi-indices alpha, so no state over pairs (alpha, beta)
-is needed.  Order s keeps a level {alpha: (d^alpha f, D^alpha g, s!/alpha!)}
+is needed.  Order s keeps a level, a list of (d^alpha f, D^alpha g, s!/alpha!)
 with the derivatives as integer rows (see `poly`): d^alpha f over the
 denominator of f, D^alpha g over that of g times L^s, where numeric Theta is
 scaled to ints by the lcm L of its denominators; formal Theta puts its
-monomials into the rows of D^alpha g.  A child alpha + e_m is built from the
-first parent that reaches it, as d_m d^alpha f and D_m D^alpha g (any parent
-gives the same rows, as the D_m commute), and its multinomial is the sum of
-its parents' (Pascal's rule: every parent of a kept alpha is in the level
-below).  The walk steps only along live directions, the m with
-d_m d^alpha f != 0, and drops an alpha whose D^alpha g cancels to zero, so
+monomials into the rows of D^alpha g.  Alpha grows only in directions at or
+after its last one, so each alpha is reached once, from alpha - e_m with m
+its last direction: its rows are d_m d^alpha' f and D_m D^alpha' g and its
+multinomial (s-1)!/alpha'! times s/k, k the new exponent of m.  The walk
+steps only along live directions, the m with d_m d^alpha f != 0, and drops
+an alpha whose D^alpha g cancels to zero (its descendants vanish too), so
 the series ends by itself.  Each order's sum is one row product per alpha,
 with s!/alpha! folded into the left rows; 1/(s! 2^s), the denominators and
 a numeric nu^s are applied once per output term as it turns back into
-Quaternions.  Star code only adds monomials from `poly`; each Theta and
-nu^s shift goes through the guarded `add_partial_rows` or `mono_mul`.
+Quaternions.  Star code does no arithmetic on packed monomials; each Theta
+and nu^s shift goes through the guarded `add_partial_rows` or `mono_mul`.
 """
 
 from __future__ import annotations
@@ -48,14 +48,11 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import DomainError
-from .poly import (NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_partial_rows, add_rows,
+from .poly import (NU, PAIRS, VAR_INDEX, ZERO_MONO, QPolynomial, add_partial_rows, add_rows,
                    exact_rational, live_directions, mul_rows, var_mono)
-
-PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")
 
 _PAIR_INDICES = {pair: (VAR_INDEX[pair[0]], VAR_INDEX[pair[1]]) for pair in PAIRS}
 _PAIR_THETA = {pair: VAR_INDEX["Theta_" + pair] for pair in PAIRS}
-_UNITS = tuple(var_mono(idx) for idx in range(4))
 
 
 def pair_indices(pair: str) -> tuple[int, int]:
@@ -128,20 +125,26 @@ class StarConfig:
 DEFAULT_CONFIG = StarConfig()
 
 
-def _theta_factors(theta: ThetaSpec):
-    """(m, n, theta_mono, value) for the active pairs, zero pairs dropped, and
-    the denominator the int values are over.
-
-    Pair mn contributes value / den * theta_mono * (d_m (x) d_n - d_n (x) d_m)
-    to B: formal Theta gives the Theta_mn monomial and value 1 over 1,
-    numeric Theta the unit monomial and the pair's value times the lcm of
-    the values' denominators.
-    """
-    if theta.is_formal():
-        return [(*_PAIR_INDICES[pair], var_mono(_PAIR_THETA[pair]), 1) for pair in PAIRS], 1
-    den = lcm(*(value.denominator for value in theta.values))
-    return [(*_PAIR_INDICES[pair], ZERO_MONO, int(value * den))
-            for pair, value in zip(PAIRS, theta.values) if value], den
+def _theta_steps(theta: ThetaSpec):
+    """(steps, den): steps[m] lists (n, theta_mono, signed value) for each
+    summand Theta_mn d_n of D_m, the values ints over den, zero pairs dropped:
+    the Theta_mn monomial and +-1 over 1 for formal Theta, the unit monomial
+    and +- the pair's value over the lcm of the values' denominators for
+    numeric Theta."""
+    formal = theta.is_formal()
+    den = 1 if formal else lcm(*(value.denominator for value in theta.values))
+    steps = [[] for _ in range(4)]
+    for pos, pair in enumerate(PAIRS):
+        m, n = _PAIR_INDICES[pair]
+        if formal:
+            theta_mono, value = var_mono(_PAIR_THETA[pair]), 1
+        elif theta.values[pos]:
+            theta_mono, value = ZERO_MONO, int(theta.values[pos] * den)
+        else:
+            continue
+        steps[m].append((n, theta_mono, value))
+        steps[n].append((m, theta_mono, -value))
+    return steps, den
 
 
 def _order_rows(f, g, theta, max_order, first_order=1):
@@ -150,41 +153,35 @@ def _order_rows(f, g, theta, max_order, first_order=1):
     rows over `den`, before the factor 1/(s! 2^s) nu^s.  The levels still
     step through the orders below `first_order`, but their rows are never
     multiplied out."""
-    factors, theta_den = _theta_factors(theta)
-    if max_order == 0 or not factors:
+    steps, theta_den = _theta_steps(theta)
+    if max_order == 0 or not any(steps):
         return
-    # steps[m]: (n, theta_mono, signed value) for each summand Theta_mn d_n of D_m.
-    steps = [[] for _ in range(4)]
-    for m, n, theta_mono, value in factors:
-        steps[m].append((n, theta_mono, value))
-        steps[n].append((m, theta_mono, -value))
     (f_rows, f_den), (g_rows, g_den) = f.rows(), g.rows()
-    # level[alpha]: (rows of d^alpha f, rows of D^alpha g, s!/alpha!)
-    level = {ZERO_MONO: (f_rows, g_rows, 1)}
+    # An entry per alpha: (rows of d^alpha f, rows of D^alpha g, s!/alpha!,
+    # the last direction m of alpha, alpha_m); alpha = 0 has none, so m = 0.
+    level = [(f_rows, g_rows, 1, 0, 0)]
     s = 0
     while level and s != max_order:
         s += 1
-        grown = {}
-        for alpha, (df, dg, c) in level.items():
+        grown = []
+        for df, dg, c, last, k in level:
             for m in live_directions(df):
-                key = alpha + _UNITS[m]
-                child = grown.get(key)
-                if child is not None:
-                    child[2] += c
+                if m < last:
                     continue
-                child = grown[key] = [{}, {}, c]
-                add_partial_rows(child[0], df, m, 1)
+                k_m = k + 1 if m == last else 1
+                dg_m = {}
                 for n, theta_mono, signed in steps[m]:
-                    add_partial_rows(child[1], dg, n, signed, theta_mono)
-        level = {}
-        for alpha, (df, dg, c) in grown.items():
-            dg = {mono: row for mono, row in dg.items() if row != (0, 0, 0, 0)}
-            if dg:
-                level[alpha] = df, dg, c
+                    add_partial_rows(dg_m, dg, n, signed, theta_mono)
+                dg_m = {mono: row for mono, row in dg_m.items() if row != (0, 0, 0, 0)}
+                if dg_m:
+                    df_m = {}
+                    add_partial_rows(df_m, df, m, 1)
+                    grown.append((df_m, dg_m, c * s // k_m, m, k_m))
+        level = grown
         if s < first_order or not level:
             continue
         acc = {}
-        for df, dg, c in level.values():
+        for df, dg, c, _, _ in level:
             left = df.items() if c == 1 else [(mono, (n0 * c, n1 * c, n2 * c, n3 * c))
                                               for mono, (n0, n1, n2, n3) in df.items()]
             mul_rows(acc, left, dg.items())

@@ -102,31 +102,31 @@ def _engine_eval(text: str) -> QPolynomial:
     return lower(parse_expression(text), _FORMAL, backend="engine")
 
 
-_CANONICAL_POINT = {"a": Fraction(1), "b": Fraction(2), "c": Fraction(3),
-                    "d": Fraction(5), "nu": Fraction(1),
-                    "Theta_ab": Fraction(1), "Theta_ac": Fraction(1),
-                    "Theta_ad": Fraction(1), "Theta_bc": Fraction(1),
-                    "Theta_bd": Fraction(1), "Theta_cd": Fraction(1)}
+# a, b, c, d = 1, 2, 3, 5; nu and every Theta_mn = 1.
+_CANONICAL_POINT = {name: Fraction(value) for name, value
+                    in itertools.zip_longest(VARIABLES, (1, 2, 3, 5), fillvalue=1)}
 
 
 def _point_witness(lhs_val, rhs_val, lhs_label, rhs_label):
-    """A rational point separating the two sides, rendered as text."""
+    """A rational point separating the two sides, rendered as text: the
+    canonical point, else the first separating one of 40 seeded random
+    points, else the difference itself."""
     names = sorted(lhs_val.variables_used() | rhs_val.variables_used(),
                    key=VARIABLES.index)
     if not names:
         return (f"values differ everywhere: {lhs_label} = "
                 f"{lhs_val.canonical_text()}, {rhs_label} = "
                 f"{rhs_val.canonical_text()}")
-    point = {n: _CANONICAL_POINT[n] for n in names}
-    lv, rv = lhs_val.evaluate(point), rhs_val.evaluate(point)
-    if lv == rv:
-        point = _oracle.find_disagreement_point(lhs_val, rhs_val, trials=40, seed=99)
-        if point is None:
-            return f"difference = {(lhs_val - rhs_val).canonical_text()}"
+    rng = Random(99)
+    random_points = ({n: _oracle.random_rational(rng) for n in names}
+                     for _ in range(40))
+    for point in itertools.chain([{n: _CANONICAL_POINT[n] for n in names}], random_points):
         lv, rv = lhs_val.evaluate(point), rhs_val.evaluate(point)
-    assign = ", ".join(f"{n} = {point[n]}" for n in names)
-    return (f"at {assign}: {lhs_label} = {quat_text(lv)}, "
-            f"{rhs_label} = {quat_text(rv)}")
+        if lv != rv:
+            assign = ", ".join(f"{n} = {point[n]}" for n in names)
+            return (f"at {assign}: {lhs_label} = {quat_text(lv)}, "
+                    f"{rhs_label} = {quat_text(rv)}")
+    return f"difference = {(lhs_val - rhs_val).canonical_text()}"
 
 
 def _seed_for(rid: str) -> int:
@@ -207,22 +207,19 @@ def _arg_tuples(rid, arity, reals_only=False):
     return tuples
 
 
-def _quat_forall(rid, loc, claim, arity, check, nonzero=False, reals_only=False):
+def _quat_forall(rid, loc, claim, arity, check, reals_only=False):
     """Universal quaternion-level claim; `check(args)` returns None or a
     witness string."""
     def build():
-        checked = 0
-        for args in _arg_tuples(rid, arity, reals_only):
-            if nonzero and any(x.is_zero() for x in args):
-                continue
-            checked += 1
+        tuples = _arg_tuples(rid, arity, reals_only)
+        for args in tuples:
             witness = check(args)
             if witness is not None:
                 return IdentityRecord(rid, loc, claim,
                                       "fails on a sampled argument tuple",
                                       MISMATCH, witness)
         return IdentityRecord(rid, loc, claim,
-                              f"holds on all {checked} sampled argument tuples",
+                              f"holds on all {len(tuples)} sampled argument tuples",
                               MATCH)
     return rid, build
 
@@ -307,8 +304,7 @@ def _registry() -> dict:
     entries.append(_quat_forall(
         "V3.unit", "Eq. (5)", "q1 conj(q1) / |q1|^2 = 1 (q1 != 0)", 1,
         _eq_check(lambda x: x * x.conj().scale(1 / x.norm_sq()),
-                  lambda x: ONE, "q1 conj(q1)/|q1|^2", "1"),
-        nonzero=True))
+                  lambda x: ONE, "q1 conj(q1)/|q1|^2", "1")))
 
     def inverse_check(args):
         (x,) = args
@@ -323,7 +319,7 @@ def _registry() -> dict:
     entries.append(_quat_forall(
         "V3.inverse", "Eq. (5)",
         "q1^-1 = conj(q1)/|q1|^2 is a two-sided inverse (q1 != 0)", 1,
-        inverse_check, nonzero=True))
+        inverse_check))
 
     # V4: algebra laws and (non)commutativity.
     entries.append(_quat_forall(

@@ -170,6 +170,22 @@ def test_bad_flag_value_is_one_argparse_error(capsys, flag, value):
     assert len(errors) == 1 and errors[0].startswith(f"quatstar eval: error: argument {flag}: ")
 
 
+@pytest.mark.parametrize("argv", [("--nu", "a"), ("--nu=--1",)], ids=["name", "double-minus"])
+def test_nu_that_parses_to_no_rational(capsys, argv):
+    code, out, err = run_cli(capsys, "eval", *argv, "q")
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "argument --nu: expected a rational like 2/3" in errors[0]
+
+
+@pytest.mark.parametrize("value", ["", ",", " , "])
+def test_theta_without_an_assignment_is_usage_error(capsys, value):
+    # Theta = 0 is spelled "zero"; an empty assignment list is no second spelling.
+    code, out, err = run_cli(capsys, "eval", "--theta", value, "star(a, b)")
+    assert (code, out) == (2, "")
+    assert "argument --theta: no pair=value assignment" in err
+
+
 def test_nu_with_a_huge_exponent_is_rejected_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "eval", "--nu", "1e10000000", "star(a, b)")

@@ -99,6 +99,28 @@ def test_tokenizer_columns_and_rationals():
     assert err.value.column == 3
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("2\u00b2", 2),                  # superscript two: a digit, no decimal
+    ("\u00bd", 1),                   # vulgar half: numeric, no digit
+    ("\u2167", 1),                   # Roman numeral eight: a letter number
+    ("\u0661\u0662 a", [("number", "\u0661\u0662", 1), ("name", "a", 4)]),
+    ("\u00e92", [("name", "\u00e92", 1)]),
+    ("_x", [("name", "_x", 1)]),
+    ("a\u00a0b", [("name", "a", 1), ("name", "b", 3)]),   # no-break space
+    ("a\u200bb", 2),                 # zero-width space is no whitespace
+    ("1/", 2),
+    ("1/2/3", 4)])
+def test_tokenizer_character_classes(text, expected):
+    # An int is the column of the "unexpected character" error.
+    if isinstance(expected, int):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            tokenize(text)
+        assert (err.value.column, err.value.token) == (expected, text[expected - 1])
+    else:
+        tokens = tokenize(text)
+        assert [(t.kind, t.text, t.column) for t in tokens] == expected + [("end", "", len(text) + 1)]
+
+
 def test_parse_error_unknown_name():
     with pytest.raises(ParseError) as err:
         evaluate_text("zz + 1")

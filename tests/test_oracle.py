@@ -10,8 +10,7 @@ import pytest
 
 import quatstar.oracle
 from quatstar.errors import DomainError
-from quatstar.oracle import (find_disagreement_point, poisson_bracket_oracle,
-                             random_qpoly, random_quaternion, random_rational,
+from quatstar.oracle import (poisson_bracket_oracle, random_qpoly, random_quaternion, random_rational,
                              star_oracle, star_oracle_order)
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
 from quatstar.quat import Quaternion
@@ -182,13 +181,6 @@ def test_bracket_oracle_handles_nu_laden_operands():
     g = Q
     for pair in PAIRS:
         assert poisson_bracket_oracle(f, g, pair) == poisson_bracket(f, g, pair)
-
-
-def test_find_disagreement_point_separates_qq_from_qbarqbar():
-    assert find_disagreement_point(Q * Q, Q * Q, trials=20, seed=1) is None
-    point = find_disagreement_point(Q * Q, QBAR * QBAR, trials=20, seed=1)
-    assert point is not None
-    assert (Q * Q).evaluate(point) != (QBAR * QBAR).evaluate(point)
 
 
 def test_random_generators_are_deterministic():

@@ -205,6 +205,14 @@ def test_scaling_by_zero_is_the_zero_polynomial():
         assert product == QPolynomial() and product.is_zero() and str(product) == "0"
 
 
+@pytest.mark.parametrize("op", [lambda: gen_q() + 1, lambda: gen_q() - 1,
+                                lambda: "x" * gen_q(), lambda: gen_q() ** Fraction(1, 2)],
+                         ids=["add-int", "sub-int", "str-times", "fraction-power"])
+def test_unsupported_operands_are_type_errors(op):
+    with pytest.raises(TypeError):
+        op()
+
+
 def test_partial_derivatives():
     p = A * A * B + C
     assert p.partial("a") == 2 * A * B

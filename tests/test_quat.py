@@ -258,3 +258,16 @@ def test_matrix_determinants():
     # the C2 determinant is |q|^2, the R4 determinant |q|^4
     assert sympy.expand(c2(q).det()) == n
     assert r4(q).det() == n * n
+
+
+def test_repr_and_str():
+    q = Quaternion(1, Fraction(1, 2), -3)
+    assert repr(q) == "Quaternion(Fraction(1, 1), Fraction(1, 2), Fraction(-3, 1), Fraction(0, 1))"
+    assert str(q) == "(1 + 1/2 i - 3 j)"
+
+
+@pytest.mark.parametrize("op", [lambda: Quaternion(1) + 1, lambda: Quaternion(1) - 1],
+                         ids=["add", "sub"])
+def test_sum_with_a_rational_is_a_type_error(op):
+    with pytest.raises(TypeError):
+        op()

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import itertools
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -10,9 +11,9 @@ import pytest
 
 import quatstar.poly
 from quatstar.errors import DomainError
-from quatstar.oracle import random_qpoly
-from quatstar.poly import QPolynomial, gen_q, gen_qbar
-from quatstar.quat import I, J, K, Quaternion
+from quatstar.oracle import random_qpoly, star_oracle
+from quatstar.poly import POSITION_VARS, QPolynomial, gen_q, gen_qbar
+from quatstar.quat import UNITS, I, J, K, Quaternion
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec,
                            associator, pair_indices, poisson_bracket, star,
                            star_commutator, star_order_term)
@@ -204,6 +205,53 @@ def test_associator_vanishes():
         g = random_qpoly(rng, max_position_degree=2, max_terms=3)
         h = random_qpoly(rng, max_position_degree=2, max_terms=3)
         assert associator(f, g, h).is_zero()
+
+
+def _position_monomials(max_degree):
+    """The real monomials in a, b, c, d of degree <= max_degree, lowest first."""
+    monomials = []
+    for degree in range(max_degree + 1):
+        for combo in itertools.combinations_with_replacement(range(4), degree):
+            exps = [0] * 11
+            for idx in combo:
+                exps[idx] += 1
+            monomials.append(QPolynomial({tuple(exps): 1}))
+    return monomials
+
+
+def _assert_associative_on(monomials, star_fn):
+    """Assert that every associator of the monomials vanishes, each inner
+    product computed once; return them as (f, g, star_fn(f, g)) triples."""
+    inner = {(x, y): star_fn(f, g) for (x, f), (y, g)
+             in itertools.product(enumerate(monomials), repeat=2)}
+    for (x, y), fg in inner.items():
+        for z, h in enumerate(monomials):
+            assert star_fn(fg, h) == star_fn(monomials[x], inner[y, z]), (x, y, z)
+    return [(monomials[x], monomials[y], fg) for (x, y), fg in inner.items()]
+
+
+def test_associativity_through_position_degree_two():
+    """assoc(f, g, h) = 0 for every f, g, h of position degree <= 2, under
+    formal Theta and nu, by three finite checks.
+
+    Star is linear over the central nu and Theta, which it never
+    differentiates, and coefficients act from the left, so
+    (e_u F) * (e_v G) = e_u e_v (F * G) for real F, G.  An associator of
+    quaternion polynomials is then a sum of unit products (ii) times
+    associators of real position monomials (i); (iii) checks the
+    unit-pulling step on the engine itself.  The Leibniz rule rides along
+    on the same pairs, and the oracle repeats (i) through degree 1."""
+    monomials = _position_monomials(2)
+    assert len(monomials) == 15
+    inner = _assert_associative_on(monomials, star)      # (i): 3,375 triples
+    for u, v, w in itertools.product(UNITS, repeat=3):  # (ii)
+        assert (u * v) * w == u * (v * w)
+    for f, g, fg in inner:
+        for u, v in itertools.product(UNITS, repeat=2):  # (iii)
+            assert star(u * f, v * g) == (u * v) * fg
+        for m in POSITION_VARS:
+            assert fg.partial(m) == star(f.partial(m), g) + star(f, g.partial(m))
+    _assert_associative_on(_position_monomials(1), star_oracle)
 
 
 @pytest.mark.parametrize("build", [

@@ -7,8 +7,11 @@ import pytest
 
 from quatstar.errors import UnknownIdentityError
 from quatstar.expr import evaluate_text
+from quatstar.quat import Quaternion
 from quatstar.verify import (
+    _arg_tuples,
     _point_witness,
+    _quat_exists,
     COVERAGE,
     ENGINE_VERSION,
     MATCH,
@@ -121,6 +124,37 @@ def test_point_witness_searches_when_the_canonical_point_agrees():
     # a - 1 and 0 take the same value at the canonical point a = 1.
     witness = _point_witness(evaluate_text("a - 1"), evaluate_text("0"), "a - 1", "0")
     assert witness == "at a = 3/4: a - 1 = -1/4, 0 = 0"
+
+
+def test_point_witness_of_equal_sides_is_the_zero_difference():
+    # No point separates q q from itself, so the canonical point and the
+    # 40 seeded random points all fail and the difference is the witness.
+    qq = evaluate_text("q q")
+    assert _point_witness(qq, qq, "q q", "q q") == "difference = 0"
+
+
+@pytest.mark.parametrize("rid", ["V3.unit", "V3.inverse"])
+def test_inverse_claims_sample_no_zero_quaternion(rid):
+    # Both claims are stated for q1 != 0, so no sampled argument may be zero.
+    tuples = _arg_tuples(rid, 1)
+    assert len(tuples) == 32
+    assert not any(x.is_zero() for (x,) in tuples)
+
+
+def test_quat_exists_without_a_counterexample_is_mismatch():
+    rid, build = _quat_exists("X.none", "nowhere", "q1 != q2 for some q1, q2", 2,
+                              lambda args: None)
+    record = build()
+    assert (record.id, record.status) == (rid, MISMATCH)
+    assert record.engine_value == "no counterexample among sampled tuples"
+    assert record.witness == "every sampled argument tuple satisfies equality"
+
+
+def test_inverse_witness_names_the_failing_argument(monkeypatch):
+    monkeypatch.setattr(Quaternion, "inverse", lambda self: self.scale(2))
+    record = run_identity("V3.inverse")
+    assert (record.status, record.engine_value) == (MISMATCH, "fails on a sampled argument tuple")
+    assert record.witness == "q1 = 1: q1^-1 q1 = 2, q1 q1^-1 = 2"
 
 
 def test_run_matching_prefixes():
