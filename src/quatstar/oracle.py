@@ -38,8 +38,6 @@ from .poly import N_VARS, NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_term, mono_
 from .quat import Quaternion
 from .star import PAIRS, StarConfig, ThetaSpec, DEFAULT_CONFIG, pair_indices
 
-_NU_POLY = QPolynomial.variable("nu")
-
 
 def _signed_steps(theta: ThetaSpec):
     """steps[m]: (n, Theta monomial, signed weight) for each summand d_m (x) d_n
@@ -105,25 +103,24 @@ def _order_sums(f, g, theta, cap, first_order=1):
 
 def star_oracle(f: QPolynomial, g: QPolynomial,
                 config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
-    """The star product computed by literal series enumeration."""
-    zero_nu = config.nu != "formal" and config.nu == 0
-    sums = _order_sums(f, g, config.theta, 0 if zero_nu else config.order_cap)
-    result = f * g
-    for s, data in enumerate(sums, 1):
-        term = QPolynomial.from_terms(data) * Fraction(1, factorial(s) * 2 ** s)
-        if config.nu == "formal":
-            term = term * (_NU_POLY ** s)
-        else:
-            term = term * (config.nu ** s)
-        result = result + term
-    return result
+    """The star product computed by literal series enumeration: each order's
+    raw sum is weighted once by (nu/2)^s / s!, a formal nu^s as a shift."""
+    formal = config.nu == "formal"
+    sums = _order_sums(f, g, config.theta, config.order_cap if formal or config.nu else 0)
+    data = dict((f * g).items())
+    for s, raw in enumerate(sums, 1):
+        weight = Fraction(1 if formal else config.nu ** s, factorial(s) * 2 ** s)
+        shift = var_mono(NU, s) if formal else ZERO_MONO
+        for mono, coeff in raw.items():
+            add_term(data, mono_mul(mono, shift), coeff.scale(weight))
+    return QPolynomial.from_terms(data)
 
 
 def star_oracle_order(f: QPolynomial, g: QPolynomial, s: int,
                       config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """Coefficient of nu^s in the oracle's expansion (nu kept formal)."""
-    if s < 0:
-        raise DomainError("correction order must be non-negative")
+    if not isinstance(s, int) or s < 0:
+        raise DomainError(f"correction order must be a non-negative int, got {s!r}")
     if config.order_cap is not None and s > config.order_cap:
         return QPolynomial.zero()
     if s == 0:
@@ -131,18 +128,19 @@ def star_oracle_order(f: QPolynomial, g: QPolynomial, s: int,
     sums = _order_sums(f, g, config.theta, s, s)
     if s > len(sums):
         return QPolynomial.zero()
-    return QPolynomial.from_terms(sums[s - 1]) * Fraction(1, factorial(s) * 2 ** s)
+    weight = Fraction(1, factorial(s) * 2 ** s)
+    return QPolynomial.from_terms({mono: coeff.scale(weight) for mono, coeff in sums[s - 1].items()})
 
 
 def poisson_bracket_oracle(f: QPolynomial, g: QPolynomial, pair: str) -> QPolynomial:
-    """{f,g}_mn recovered from the oracle's first-order term with Theta_mn = 1.
+    """{f,g}_mn as the oracle's raw first-order sum with only Theta_mn = 1.
 
-    Twice the nu^1 coefficient of the star series with only Theta_mn active
-    is exactly the bracket; this route never touches the engine's bracket
-    code.
+    That sum runs over the signed pairs (m, n, +1) and (n, m, -1), so it is
+    exactly the bracket; the star weight 1/2 of order 1 is never applied.
+    This route never touches the engine's bracket code.
     """
-    config = StarConfig(theta=ThetaSpec.numeric({pair: 1}))
-    return star_oracle_order(f, g, 1, config) * 2
+    sums = _order_sums(f, g, ThetaSpec.numeric({pair: 1}), 1)
+    return QPolynomial.from_terms(sums[0] if sums else {})
 
 
 # --- seeded random data -----------------------------------------------------

@@ -310,13 +310,10 @@ class QPolynomial:
         return QPolynomial.from_terms({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        if isinstance(other, Quaternion):
-            # Right-multiplication by a constant: coefficients pick it up on the right.
-            return QPolynomial.from_terms({} if other.is_zero() else
-                                          {m: c * other for m, c in self._terms.items()})
-        if not isinstance(other, QPolynomial):
+        if isinstance(other, (int, Fraction, Quaternion)):
+            # A constant is a polynomial of one term, at the unit monomial.
+            other = QPolynomial.constant(other)
+        elif not isinstance(other, QPolynomial):
             return NotImplemented
         data = {}
         for m1, c1 in self._terms.items():
@@ -341,24 +338,15 @@ class QPolynomial:
         return QPolynomial.from_terms(data)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        if isinstance(other, Quaternion):
-            return QPolynomial.from_terms({} if other.is_zero() else
-                                          {m: other * c for m, c in self._terms.items()})
-        return NotImplemented
-
-    def _scaled(self, factor) -> "QPolynomial":
-        # A rational is central: scaling each coefficient equals the quaternion product.
-        if not factor:
-            return QPolynomial()
-        return QPolynomial.from_terms({m: c.scale(factor) for m, c in self._terms.items()})
+        if not isinstance(other, (int, Fraction, Quaternion)):
+            return NotImplemented
+        return QPolynomial.constant(other) * self
 
     def __pow__(self, n):
         """Repeated multiplication, which beats squaring on sparse bases
         (Fateman 1974); a single term is raised directly."""
         if not isinstance(n, int):
-            return NotImplemented
+            raise TypeError(f"a polynomial power needs an int exponent, got {type(n).__name__}")
         if n < 0:
             raise DomainError("negative powers are not defined for polynomials")
         if n > EXPONENT_LIMIT:

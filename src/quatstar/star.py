@@ -210,8 +210,8 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
                     config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """The coefficient of nu^s in the star expansion (nu kept formal); zero
     past the cap and past the series end, the smaller position degree."""
-    if s < 0:
-        raise DomainError("correction order must be non-negative")
+    if not isinstance(s, int) or s < 0:
+        raise DomainError(f"correction order must be a non-negative int, got {s!r}")
     if s == 0:
         return f * g
     data = {}

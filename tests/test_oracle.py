@@ -1,6 +1,7 @@
 """The independent star-product oracle and random-testing helpers."""
 
 import ast
+import re
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
@@ -146,6 +147,13 @@ def test_routes_agree_on_q_powers_under_deep_configs():
 def test_negative_order_is_domain_error(order_term):
     with pytest.raises(DomainError, match="non-negative"):
         order_term(Q, Q, -1)
+
+
+@pytest.mark.parametrize("order", [1.5, Fraction(3, 2)], ids=["float", "fraction"])
+@pytest.mark.parametrize("order_term", [star_order_term, star_oracle_order])
+def test_non_int_order_is_domain_error(order_term, order):
+    with pytest.raises(DomainError, match=re.escape(f"must be a non-negative int, got {order!r}")):
+        order_term(Q ** 3, QBAR ** 3, order)
 
 
 @pytest.mark.parametrize("full, order_term", [(star, star_order_term),

@@ -205,11 +205,18 @@ def test_scaling_by_zero_is_the_zero_polynomial():
         assert product == QPolynomial() and product.is_zero() and str(product) == "0"
 
 
-@pytest.mark.parametrize("op", [lambda: gen_q() + 1, lambda: gen_q() - 1,
-                                lambda: "x" * gen_q(), lambda: gen_q() ** Fraction(1, 2)],
-                         ids=["add-int", "sub-int", "str-times", "fraction-power"])
-def test_unsupported_operands_are_type_errors(op):
-    with pytest.raises(TypeError):
+_NON_INT_POWER = "a polynomial power needs an int exponent, got "
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda: gen_q() + 1, None), (lambda: gen_q() - 1, None), (lambda: "x" * gen_q(), None),
+    (lambda: gen_q() ** Fraction(1, 2), _NON_INT_POWER + "Fraction$"),
+    (lambda: gen_q() ** Fraction(2), _NON_INT_POWER + "Fraction$"),
+    (lambda: gen_q() ** 2.0, _NON_INT_POWER + "float$")],
+                         ids=["add-int", "sub-int", "str-times", "fraction-power",
+                              "integral-fraction-power", "float-power"])
+def test_unsupported_operands_are_type_errors(op, message):
+    with pytest.raises(TypeError, match=message):
         op()
 
 
