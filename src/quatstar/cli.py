@@ -58,6 +58,8 @@ def _theta(text: str) -> ThetaSpec:
         if not eq:
             raise argparse.ArgumentTypeError(
                 f"bad theta assignment {chunk.strip()!r}; expected pair=value")
+        if name.strip() in values:
+            raise argparse.ArgumentTypeError(f"Theta pair {name.strip()!r} is assigned twice")
         values[name.strip()] = _rational(value)
     if not values:
         raise argparse.ArgumentTypeError(
@@ -120,11 +122,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _disagrees(f, g, config) -> bool:
+    """The fuzz verdict: engine and oracle star products differ."""
+    return _engine_star(f, g, config) != _oracle.star_oracle(f, g, config)
+
+
 def _shrink_counterexample(f, g, config):
     """Drop terms from f and g while the engine/oracle disagreement persists."""
-    def disagrees(x, y):
-        return _engine_star(x, y, config) != _oracle.star_oracle(x, y, config)
-
     changed = True
     while changed:
         changed = False
@@ -133,7 +137,7 @@ def _shrink_counterexample(f, g, config):
             for mono, coeff in current.terms():
                 trimmed = current - QPolynomial([(mono, coeff)])
                 candidate = (trimmed, g) if side == 0 else (f, trimmed)
-                if disagrees(*candidate):
+                if _disagrees(*candidate, config):
                     f, g = candidate
                     changed = True
                     break
@@ -150,9 +154,7 @@ def _cmd_fuzz(args) -> int:
                                  max_terms=4, include_params=args.params)
         g = _oracle.random_qpoly(rng, max_position_degree=args.max_degree,
                                  max_terms=4, include_params=args.params)
-        engine = _engine_star(f, g, config)
-        oracle = _oracle.star_oracle(f, g, config)
-        if engine != oracle:
+        if _disagrees(f, g, config):
             f2, g2 = _shrink_counterexample(f, g, config)
             print(f"counterexample at trial {trial}:")
             print(f"  f = {f2.canonical_text()}")

@@ -57,10 +57,9 @@ def _signed_steps(theta: ThetaSpec):
     return steps
 
 
-def _order_sums(f, g, theta, cap, first_order=1):
+def _order_sums(f, g, theta, cap):
     """Raw sums over ordered pair sequences as term dicts; sums[s - 1] holds
-    the sequences of length s, left empty for s < first_order, whose
-    products are never formed.
+    the sequences of length s.  The walk forms every order it reaches.
 
     The list ends at the deepest order a branch reaches, or at `cap` when it
     is not None.  A stack entry holds the gradients of its fd and gd and its
@@ -89,11 +88,10 @@ def _order_sums(f, g, theta, cap, first_order=1):
                 wmono2, w2 = mono_mul(wmono, theta_mono), w * signed
                 if depth == len(sums):
                     sums.append({})
-                if depth >= first_order - 1:
-                    target = sums[depth]
-                    for mono, coeff in (fd * gd).items():
-                        add_term(target, mono_mul(mono, wmono2),
-                                 coeff if w2 == 1 else coeff.scale(w2))
+                target = sums[depth]
+                for mono, coeff in (fd * gd).items():
+                    add_term(target, mono_mul(mono, wmono2),
+                             coeff if w2 == 1 else coeff.scale(w2))
                 if push:
                     if n not in rights:
                         rights[n] = gd.gradient()
@@ -121,11 +119,9 @@ def star_oracle_order(f: QPolynomial, g: QPolynomial, s: int,
     """Coefficient of nu^s in the oracle's expansion (nu kept formal)."""
     if not isinstance(s, int) or s < 0:
         raise DomainError(f"correction order must be a non-negative int, got {s!r}")
-    if config.order_cap is not None and s > config.order_cap:
-        return QPolynomial.zero()
     if s == 0:
         return f * g
-    sums = _order_sums(f, g, config.theta, s, s)
+    sums = _order_sums(f, g, config.theta, s if config.order_cap is None else min(s, config.order_cap))
     if s > len(sums):
         return QPolynomial.zero()
     weight = Fraction(1, factorial(s) * 2 ** s)

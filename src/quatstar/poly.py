@@ -173,14 +173,6 @@ def add_partial_rows(acc: dict, rows: dict, idx: int, k: int, shift: int = ZERO_
             acc[mono] = (p0 + e * n0, p1 + e * n1, p2 + e * n2, p3 + e * n3)
 
 
-def live_directions(rows: dict) -> tuple:
-    """The position variables (as indices) whose partial of `rows` is nonzero."""
-    occurring = 0
-    for m in rows:
-        occurring |= m
-    return tuple(idx for idx in range(4) if occurring >> _SHIFTS[idx] & _FIELD_MASK)
-
-
 def add_rows(data: dict, rows, scale: Fraction, shift: int = ZERO_MONO) -> dict:
     """Add each nonzero row times the nonzero rational `scale`, at its
     monomial times `shift`, into the term dict `data` as a reduced

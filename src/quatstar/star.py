@@ -31,14 +31,14 @@ scaled to ints by the lcm L of its denominators; formal Theta puts its
 monomials into the rows of D^alpha g.  Alpha grows only in directions at or
 after its last one, so each alpha is reached once, from alpha - e_m with m
 its last direction: its rows are d_m d^alpha' f and D_m D^alpha' g and its
-multinomial (s-1)!/alpha'! times s/k, k the new exponent of m.  The walk
-steps only along live directions, the m with d_m d^alpha f != 0, and drops
-an alpha whose D^alpha g cancels to zero (its descendants vanish too), so
-the series ends by itself.  Each order's sum is one row product per alpha,
-with s!/alpha! folded into the left rows; 1/(s! 2^s), the denominators and
-a numeric nu^s are applied once per output term as it turns back into
-Quaternions.  Star code does no arithmetic on packed monomials; each Theta
-and nu^s shift goes through the guarded `add_partial_rows` or `mono_mul`.
+multinomial (s-1)!/alpha'! times s/k, k the new exponent of m.  One rule
+decides a child: alpha + e_m exists iff d_m d^alpha f != 0 and
+D_m D^alpha g != 0, so the series ends by itself; nu = 0 is order cap 0.
+Each order's sum is one row product per alpha, with s!/alpha! folded into
+the left rows; 1/(s! 2^s), the denominators and a numeric nu^s are applied
+once per output term as it turns back into Quaternions.  Star code does
+no arithmetic on packed monomials; each Theta and nu^s shift goes through
+the guarded `add_partial_rows` or `mono_mul`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from math import factorial, lcm
 
 from .errors import DomainError
 from .poly import (NU, PAIRS, VAR_INDEX, ZERO_MONO, QPolynomial, add_partial_rows, add_rows,
-                   exact_rational, live_directions, mul_rows, var_mono)
+                   exact_rational, mul_rows, var_mono)
 
 _PAIR_INDICES = {pair: (VAR_INDEX[pair[0]], VAR_INDEX[pair[1]]) for pair in PAIRS}
 _PAIR_THETA = {pair: VAR_INDEX["Theta_" + pair] for pair in PAIRS}
@@ -165,17 +165,17 @@ def _order_rows(f, g, theta, max_order, first_order=1):
         s += 1
         grown = []
         for df, dg, c, last, k in level:
-            for m in live_directions(df):
-                if m < last:
+            for m in range(last, 4):
+                df_m = {}
+                add_partial_rows(df_m, df, m, 1)
+                if not df_m:
                     continue
-                k_m = k + 1 if m == last else 1
                 dg_m = {}
                 for n, theta_mono, signed in steps[m]:
                     add_partial_rows(dg_m, dg, n, signed, theta_mono)
                 dg_m = {mono: row for mono, row in dg_m.items() if row != (0, 0, 0, 0)}
                 if dg_m:
-                    df_m = {}
-                    add_partial_rows(df_m, df, m, 1)
+                    k_m = k + 1 if m == last else 1
                     grown.append((df_m, dg_m, c * s // k_m, m, k_m))
         level = grown
         if s < first_order or not level:
@@ -194,15 +194,11 @@ def _prefactor(s):
 
 def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """The full (terminating) star product of f and g under `config`."""
-    result = f * g
-    if config.nu != "formal" and config.nu == 0:
-        return result
-    data = dict(result.items())
-    for s, rows, den in _order_rows(f, g, config.theta, config.order_cap):
-        if config.nu == "formal":
-            add_rows(data, rows, _prefactor(s) / den, var_mono(NU, s))
-        else:
-            add_rows(data, rows, _prefactor(s) * config.nu ** s / den)
+    formal = config.nu == "formal"
+    data = dict((f * g).items())
+    for s, rows, den in _order_rows(f, g, config.theta, 0 if config.nu == 0 else config.order_cap):
+        add_rows(data, rows, _prefactor(s) * (1 if formal else config.nu ** s) / den,
+                 var_mono(NU, s) if formal else ZERO_MONO)
     return QPolynomial.from_terms(data)
 
 

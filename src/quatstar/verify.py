@@ -36,9 +36,9 @@ from random import Random
 from .errors import OracleDivergenceError, UnknownIdentityError
 from .quat import Quaternion, GROUP_ELEMENTS, ONE, quat_text
 from .poly import QPolynomial, VARIABLES
-from .star import DEFAULT_CONFIG, PAIRS
+from .star import PAIRS
 from . import oracle as _oracle
-from .expr import parse_expression, lower
+from .expr import evaluate_text, lower, parse_expression
 
 ENGINE_VERSION = "quatstar 0.1.0"
 
@@ -81,25 +81,16 @@ class DiscrepancyReport:
 
 # --- shared evaluation plumbing ----------------------------------------------
 
-_FORMAL = DEFAULT_CONFIG
-
-
 def _checked_eval(text: str) -> QPolynomial:
     """Evaluate expression text through both routes; they must agree."""
     node = parse_expression(text)
-    engine = lower(node, _FORMAL, backend="engine")
-    oracle = lower(node, _FORMAL, backend="oracle")
+    engine = lower(node, backend="engine")
+    oracle = lower(node, backend="oracle")
     if engine != oracle:
         raise OracleDivergenceError(
             f"engine and oracle disagree on {text!r}: "
             f"engine {engine.canonical_text()}, oracle {oracle.canonical_text()}")
     return engine
-
-
-def _engine_eval(text: str) -> QPolynomial:
-    """Engine-only evaluation, used to screen existential candidates; any
-    candidate promoted to a witness is re-checked through both routes."""
-    return lower(parse_expression(text), _FORMAL, backend="engine")
 
 
 # a, b, c, d = 1, 2, 3, 5; nu and every Theta_mn = 1.
@@ -160,16 +151,16 @@ def _exists_search(rid, loc, claim, candidates):
     """Existential inequality: candidates yield (description, lhs, rhs) texts.
 
     MATCH iff some candidate substitution makes the two sides differ; the
-    first one found (fixed order) is the recorded witness.
+    first one found (fixed order) is screened by the engine alone, then
+    recorded as the inequation lhs != rhs through both routes, its witness
+    prefixed by the candidate's description.
     """
     def build():
         for desc, lhs, rhs in candidates:
-            if _engine_eval(lhs) != _engine_eval(rhs):
-                lv = _checked_eval(lhs)
-                rv = _checked_eval(rhs)
-                witness = f"{desc}: {_point_witness(lv, rv, lhs, rhs)}"
-                return IdentityRecord(rid, loc, claim, (lv - rv).canonical_text(),
-                                      MATCH, witness)
+            if evaluate_text(lhs) != evaluate_text(rhs):
+                record = _poly_claim(rid, loc, lhs, rhs, claim, equal=False)[1]()
+                record.witness = f"{desc}: {record.witness}"
+                return record
         count = len(candidates)
         return IdentityRecord(
             rid, loc, claim,

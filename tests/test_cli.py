@@ -186,6 +186,14 @@ def test_theta_without_an_assignment_is_usage_error(capsys, value):
     assert "argument --theta: no pair=value assignment" in err
 
 
+@pytest.mark.parametrize("value", ["ab=1,ab=2", "ab=1, ab =1", "cd=1,,ab=0,ab=0"])
+def test_theta_pair_assigned_twice_is_usage_error(capsys, value):
+    # One value per pair: a repeated pair is refused, not silently overwritten.
+    code, out, err = run_cli(capsys, "eval", "--theta", value, "star(q, q)")
+    assert (code, out) == (2, "")
+    assert "argument --theta: Theta pair 'ab' is assigned twice" in err
+
+
 def test_nu_with_a_huge_exponent_is_rejected_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "eval", "--nu", "1e10000000", "star(a, b)")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quatstar.errors import DomainError, ParseError
-from quatstar.expr import evaluate_text, tokenize
+from quatstar.expr import evaluate_text, lower, tokenize
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
 from quatstar.quat import I, K
 from quatstar.star import StarConfig, ThetaSpec, star
@@ -213,3 +213,8 @@ def test_round_trip_through_canonical_text():
     for text in texts:
         value = evaluate_text(text)
         assert evaluate_text(value.canonical_text()) == value
+
+
+def test_lower_rejects_a_node_it_does_not_know():
+    with pytest.raises(TypeError, match="unexpected node"):
+        lower(object())

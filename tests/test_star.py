@@ -158,6 +158,23 @@ def test_star_with_zero_theta_or_zero_nu():
     assert star(f, g, cfg_zero_nu) == f * g
 
 
+@pytest.mark.parametrize("config", [StarConfig(nu=0), StarConfig(order_cap=0)],
+                         ids=["nu-0", "cap-0"])
+@pytest.mark.parametrize("route", [star, star_oracle], ids=["engine", "oracle"])
+def test_nu_zero_is_order_cap_zero_on_both_routes(monkeypatch, route, config):
+    # nu = 0 and order cap 0 are one rule: both routes return f g without
+    # building a derivative, so neither rows nor gradients are ever formed.
+    f, g = Q * Q, QBAR
+    expected = f * g
+
+    def no_derivatives(self):
+        raise AssertionError("order cap 0 builds no rows or gradients")
+
+    monkeypatch.setattr(QPolynomial, "rows", no_derivatives)
+    monkeypatch.setattr(QPolynomial, "gradient", no_derivatives)
+    assert route(f, g, config) == expected
+
+
 def test_star_with_numeric_theta():
     cfg = StarConfig(theta=ThetaSpec.numeric({"cd": 1}))
     nu = QPolynomial.variable("nu")

@@ -2,16 +2,20 @@
 
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from quatstar.errors import UnknownIdentityError
 from quatstar.expr import evaluate_text
+from quatstar.oracle import random_qpoly
+from quatstar.poly import QPolynomial
 from quatstar.quat import Quaternion
 from quatstar.verify import (
     _arg_tuples,
     _point_witness,
     _quat_exists,
+    _seed_for,
     COVERAGE,
     ENGINE_VERSION,
     MATCH,
@@ -155,6 +159,25 @@ def test_inverse_witness_names_the_failing_argument(monkeypatch):
     record = run_identity("V3.inverse")
     assert (record.status, record.engine_value) == (MISMATCH, "fails on a sampled argument tuple")
     assert record.witness == "q1 = 1: q1^-1 q1 = 2, q1 q1^-1 = 2"
+
+
+def test_triangle_witness_names_the_failing_pair(monkeypatch):
+    # Squaring the norm squared breaks the triangle inequality already at q1 = q2 = 1.
+    norm_sq = Quaternion.norm_sq
+    monkeypatch.setattr(Quaternion, "norm_sq", lambda self: norm_sq(self) ** 2)
+    record = run_identity("V2.triangle")
+    assert (record.status, record.engine_value) == (MISMATCH, "fails on a sampled argument tuple")
+    assert record.witness == "q1 = 1, q2 = 1: |q1 + q2| exceeds |q1| + |q2|"
+
+
+def test_fn_assoc_mismatch_records_the_first_triple(monkeypatch):
+    # With subtraction as the product, (f g) h - f (g h) = -2 h, nonzero on the first triple.
+    rng = Random(_seed_for("V4.fn_assoc"))
+    f, g, h = (random_qpoly(rng, max_position_degree=2, max_terms=3) for _ in range(3))
+    monkeypatch.setattr(QPolynomial, "__mul__", QPolynomial.__sub__)
+    record = run_identity("V4.fn_assoc")
+    witness = f"f = {f}, g = {g}, h = {h}"
+    assert (record.status, record.engine_value, record.witness) == (MISMATCH, witness, witness)
 
 
 def test_run_matching_prefixes():
