@@ -25,6 +25,10 @@ no gcd, `add_partial_rows` sums k times a partial times a monomial, and
 `add_rows` turns sums back into reduced Quaternions once per term.
 Rows serve where an operand is reused across many products: the running
 power of a multi-term `__pow__` and the derivatives in the star kernel.
+`__pow__` peels the highest real-coefficient term t off its base, and sums
+C(n, k) t^(n-k) r^k over the powers of the rest r: t is central (central
+variables, rational coefficient), so it commutes with r and the binomial
+theorem holds for quaternion coefficients, while t^(n-k) is one monomial.
 `__mul__` stays on Quaternion objects: its products are mostly small and
 one-off, where converting both operands to rows costs more than it saves.
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from .errors import DomainError
 from .quat import ONE, Quaternion, _quat, quat_text
@@ -335,8 +339,11 @@ class QPolynomial:
         return QPolynomial.constant(other) * self
 
     def __pow__(self, n):
-        """Repeated multiplication, which beats squaring on sparse bases
-        (Fateman 1974); a single term is raised directly."""
+        """A single term is raised directly.  A multi-term base p = t + r, t its
+        highest real-coefficient term (0 if none), gives p^n = sum_k C(n, k)
+        t^(n-k) r^k, exact as t (central variables, rational coefficient)
+        commutes with r.  The r^k come by repeated multiplication, which beats
+        squaring on sparse bases (Fateman 1974)."""
         if not isinstance(n, int):
             raise TypeError(f"a polynomial power needs an int exponent, got {type(n).__name__}")
         if n < 0:
@@ -345,17 +352,34 @@ class QPolynomial:
             raise DomainError(f"exponent overflow: power {n} exceeds {EXPONENT_LIMIT}")
         if n == 0:
             return QPolynomial.constant(1)
+        # No exponent of p^n exceeds n times the base's largest, and p^n reaches that
+        # bound (a leading term never cancels): the one overflow check of either branch.
+        if self.total_degree() * n > EXPONENT_LIMIT and any(
+                max(_unpack(m)) * n > EXPONENT_LIMIT for m in self._terms):
+            raise DomainError(_OVERFLOW)
         if len(self._terms) <= 1:
-            if any(max(_unpack(m)) * n > EXPONENT_LIMIT for m in self._terms):
-                raise DomainError(_OVERFLOW)
             return QPolynomial.from_terms({m * n: _quat_pow(c, n) for m, c in self._terms.items()})
         rows, den = self.rows()
-        base = power = rows.items()
-        for _ in range(n - 1):
-            acc = {}
-            mul_rows(acc, power, base)
-            power = [(m, c) for m, c in acc.items() if any(c)]
-        return QPolynomial.from_terms(add_rows({}, power, Fraction(1, den ** n)))
+        real = [m for m, (_, n1, n2, n3) in rows.items() if not (n1 or n2 or n3)]
+        t = max(real, default=ZERO_MONO)
+        tc = rows.pop(t)[0] if real else 0
+        rest, power, acc = rows.items(), [(ZERO_MONO, (1, 0, 0, 0))], {}
+        get = acc.get
+        for k in range(n):
+            if w := comb(n, k) * tc ** (n - k):
+                shift = t * (n - k)
+                for m, (n0, n1, n2, n3) in power:
+                    p0, p1, p2, p3 = get(mono := m + shift, (0, 0, 0, 0))
+                    acc[mono] = (p0 + w * n0, p1 + w * n1, p2 + w * n2, p3 + w * n3)
+            if k == n - 1:
+                mul_rows(acc, power, rest)  # r^n, of weight 1 and shift 0
+            elif k:
+                step = {}
+                mul_rows(step, power, rest)
+                power = [(m, c) for m, c in step.items() if any(c)]
+            else:
+                power = rest
+        return QPolynomial.from_terms(add_rows({}, acc.items(), Fraction(1, den ** n)))
 
     def __eq__(self, other):
         if not isinstance(other, QPolynomial):

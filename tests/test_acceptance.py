@@ -14,7 +14,7 @@ from random import Random
 import quatstar.cli as cli
 import quatstar.oracle as oracle
 from quatstar.expr import evaluate_text
-from quatstar.poly import QPolynomial
+from quatstar.poly import QPolynomial, gen_q
 from quatstar.quat import ONE, Quaternion
 from quatstar.star import PAIRS, associator, poisson_bracket, star
 from quatstar.verify import COVERAGE, MATCH, MISMATCH, identity_ids
@@ -361,6 +361,15 @@ def test_criterion_7_termination_and_performance(capsys):
               "degree-6 star terminates under 1 s with nu-degree <= 6",
               detail=f"{elapsed:.3f} s, nu-degree {product.nu_degree()}")
     assert ok, (elapsed, product.nu_degree())
+
+
+def test_worst_case_power_under_one_second():
+    """q^60, with 20,336 terms, is the worst-case polynomial power."""
+    q = gen_q()
+    start = time.perf_counter()
+    power = q ** 60
+    elapsed = time.perf_counter() - start
+    assert len(power) == 20336 and elapsed < 1.0, elapsed
 
 
 # --- criterion 8 -----------------------------------------------------------

@@ -4,10 +4,11 @@ Each group renders a fixed, seeded set of results to canonical text and
 compares one SHA-256 over them with a recorded constant.  A refactor that
 changes any result, or the text of any result, changes its group's hash.
 The constants were recorded from the engine before the oracle's series
-became an explicit-stack enumeration, and those of `power` and `star_deep`
-before multi-term powers and star corrections moved to integer rows.  A
-change that means to alter output records new ones and says so in the
-changelog.
+became an explicit-stack enumeration, those of `power` and `star_deep`
+before multi-term powers and star corrections moved to integer rows, and
+that of `power_central` before a multi-term power became a binomial sum
+over a real-coefficient term.  A change that means to alter output
+records new ones and says so in the changelog.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from random import Random
 
 import pytest
 
+from quatstar.expr import evaluate_text
 from quatstar.oracle import (poisson_bracket_oracle, random_qpoly, random_quaternion,
                              star_oracle, star_oracle_order)
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
@@ -75,6 +77,30 @@ def _powers():
     return [base ** n for base in bases for n in range(4, 9)] + [q ** n for n in range(13)]
 
 
+# Real-coefficient terms for power bases: a constant, a position monomial, a
+# parameter monomial, a non-integral rational multiple and two terms.
+CENTRAL_REALS = tuple(evaluate_text(text) for text in ("5", "a^2 b", "nu Theta_ab", "-3/4 c",
+                                                       "2 + a d"))
+
+
+def with_real(seeded, real):
+    """`seeded` without its terms at the monomials of `real`, plus `real`."""
+    return QPolynomial([(m, c) for m, c in seeded.terms() if real.coefficient(m).is_zero()]) + real
+
+
+def central_bases():
+    """Seeded bases with the real terms of each CENTRAL_REALS entry, whose
+    multi-term powers are binomial sums over a real term."""
+    rng = Random(2027)
+    return [with_real(random_qpoly(rng, 2, 4, True), real) for real in CENTRAL_REALS
+            for _ in range(3)]
+
+
+def _power_central():
+    return ([p ** n for p in (gen_q(), gen_qbar()) for n in range(13, 31)]
+            + [base ** n for base in central_bases() for n in range(2, 9)])
+
+
 def _texts():
     pairs = _operands()
     groups = {
@@ -89,6 +115,7 @@ def _texts():
         "ring": [value for f, g in pairs
                  for value in (f * g, g * f, f + g, f - g, -f, f ** 0, f ** 2, g ** 3)],
         "power": _powers(),
+        "power_central": _power_central(),
         "star_deep": [star(f, g, cfg) for f, g in _deep_pairs() for cfg in DEEP_CONFIGS],
     }
     return {name: [value.canonical_text() for value in values]
@@ -103,6 +130,7 @@ GOLDEN = {
     "bracket": "2cc4f0607d3225e0125cc8a07172e8ee2139d5656b348f650b74ad8885e337b5",
     "ring": "f7248fe7fe059c23883c683db6a51a45ebbb105b4884598fbaf5c76a25ae65ef",
     "power": "84adda259cb7f731046cfbcc60e6b5c4f8a7d4e23f9e3ab3daa05b6364cb788a",
+    "power_central": "0fab6ccc91f66236147fda3c30855e86ad63bb66fad8e1b38c8a84324592213a",
     "star_deep": "2094671358ac6e283a769e68af58592b4c4160d76579a438ca856b4a9d00b510",
 }
 

@@ -17,6 +17,7 @@ from quatstar.poly import (EXPONENT_LIMIT, NU as NU_INDEX, QPolynomial, VARIABLE
                            var_index, var_mono)
 from quatstar.quat import GROUP_ELEMENTS, I, J, K, ONE, Quaternion
 from quatstar.star import PAIRS, pair_indices, star
+from test_golden import CENTRAL_REALS, central_bases, with_real
 
 
 def _mono(**exps):
@@ -129,6 +130,9 @@ def test_powers():
     assert (A * A) ** (EXPONENT_LIMIT // 2) == A ** EXPONENT_LIMIT
     with pytest.raises(DomainError):
         (A * A) ** (EXPONENT_LIMIT // 2 + 1)
+    assert str(evaluate_text("(a^500000 + i b)^2")) == "a^1000000 + 2 i a^500000 b - b^2"
+    assert (str(evaluate_text("(a^333333 + j c)^3"))
+            == "a^999999 + 3 j a^666666 c - 3 a^333333 c^2 - j c^3")
     assert QPolynomial.zero() ** 3 == QPolynomial.zero()
     assert QPolynomial.zero() ** 0 == QPolynomial.constant(1)
 
@@ -151,14 +155,26 @@ def test_row_product_equals_quaternion_product():
 
 
 def test_power_equals_repeated_product():
-    # Multi-term powers run on integer rows, products on Quaternion objects.
+    # Multi-term powers run on integer rows, products on Quaternion objects.  Seeded
+    # bases seldom have a real-coefficient term, so the binomial sum over one needs
+    # central_bases().
     rng = Random(9)
-    for _ in range(60):
-        base = random_qpoly(rng, 2, 4, True)
-        product = base
-        for n in range(2, 9):
-            product = product * base
+    for base in [random_qpoly(rng, 2, 4, True) for _ in range(60)] + central_bases():
+        product = QPolynomial.constant(1)
+        for n in range(9):
             assert base ** n == product
+            product = product * base
+
+
+@pytest.mark.parametrize("text", ["(a^600000 + i b)^2", "(a + i b^600000)^2",
+                                  "(2 a^333334 + j c)^3", "(b^699051 + i a)^4",
+                                  "(b^524288 + i a)^5"])
+def test_power_exponent_overflow(text):
+    # In the last two, a multiple of the peeled real term b^e would carry out of
+    # its 21-bit field (4 * 699051 and 5 * 524288 are >= 2^21).
+    with pytest.raises(DomainError, match=f"exponent overflow: monomial exponent exceeds "
+                                          f"{EXPONENT_LIMIT}$"):
+        evaluate_text(text)
 
 
 def test_monomial_exponent_overflow():
@@ -402,11 +418,13 @@ def test_polynomial_core_against_sympy():
         assert _same(f - g, SympyQuaternion(*(x - y for x, y in zip(_parts(sf), _parts(sg)))), used)
         for var in "abcd":
             assert _same(f.partial(var), _diff(sf, SYMBOLS[var_index(var)]), used)
-        for base in (f, QPolynomial([f.terms()[0]])):
-            expected = _to_sympy(QPolynomial.constant(1), used)
+        real = CENTRAL_REALS[trial % len(CENTRAL_REALS)]
+        for base in (f, QPolynomial([f.terms()[0]]), with_real(QPolynomial(f.terms()[:2]), real)):
+            gens = sorted({var_index(v) for v in base.variables_used()} | set(range(5)))
+            expected = _to_sympy(QPolynomial.constant(1), gens)
             for n in range(5):
-                assert _same(base ** n, expected, used)
-                expected = expected * _to_sympy(base, used)
+                assert _same(base ** n, expected, gens)
+                expected = expected * _to_sympy(base, gens)
         assert _same(f.conjugate(), SympyQuaternion(sf.a, -sf.b, -sf.c, -sf.d), used)
         for s in range(3):
             assert _same(f.coefficient_of_nu_power(s), _nu_coefficient(sf, s), used)
