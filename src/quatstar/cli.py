@@ -76,7 +76,7 @@ def _nu(text: str):
 
 
 def _count(text: str) -> int:
-    """argparse type of the fuzz counts: a non-negative int."""
+    """argparse type of the fuzz counts and --order-cap: a non-negative int."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
     return int(text)
@@ -91,7 +91,7 @@ def _add_config_flags(parser):
                         help="'formal', 'zero', or assignments like 'ab=1,cd=-2'")
     parser.add_argument("--nu", type=_nu, default="formal",
                         help="'formal' or a rational value like 1/2")
-    parser.add_argument("--order-cap", type=int, default=None,
+    parser.add_argument("--order-cap", type=_count, default=None,
                         help="truncate star corrections above this order")
 
 

@@ -33,7 +33,6 @@ from fractions import Fraction
 from math import factorial
 from random import Random
 
-from .errors import DomainError
 from .poly import N_VARS, NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_term, mono_mul, var_mono
 from .quat import Quaternion
 from .star import PAIRS, StarConfig, ThetaSpec, DEFAULT_CONFIG, pair_indices
@@ -112,20 +111,6 @@ def star_oracle(f: QPolynomial, g: QPolynomial,
         for mono, coeff in raw.items():
             add_term(data, mono_mul(mono, shift), coeff.scale(weight))
     return QPolynomial.from_terms(data)
-
-
-def star_oracle_order(f: QPolynomial, g: QPolynomial, s: int,
-                      config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
-    """Coefficient of nu^s in the oracle's expansion (nu kept formal)."""
-    if not isinstance(s, int) or s < 0:
-        raise DomainError(f"correction order must be a non-negative int, got {s!r}")
-    if s == 0:
-        return f * g
-    sums = _order_sums(f, g, config.theta, s if config.order_cap is None else min(s, config.order_cap))
-    if s > len(sums):
-        return QPolynomial.zero()
-    weight = Fraction(1, factorial(s) * 2 ** s)
-    return QPolynomial.from_terms({mono: coeff.scale(weight) for mono, coeff in sums[s - 1].items()})
 
 
 def poisson_bracket_oracle(f: QPolynomial, g: QPolynomial, pair: str) -> QPolynomial:

@@ -35,10 +35,10 @@ multinomial (s-1)!/alpha'! times s/k, k the new exponent of m.  One rule
 decides a child: alpha + e_m exists iff d_m d^alpha f != 0 and
 D_m D^alpha g != 0, so the series ends by itself; nu = 0 is order cap 0.
 Each order's sum is one row product per alpha, with s!/alpha! folded into
-the left rows; 1/(s! 2^s), the denominators and a numeric nu^s are applied
-once per output term as it turns back into Quaternions.  Star code does
-no arithmetic on packed monomials; each Theta and nu^s shift goes through
-the guarded `add_partial_rows` or `mono_mul`.
+the left rows; one scale per order, 1/(s! 2^s) over the denominators, times
+a numeric nu^s, is applied to each output term as it turns back into
+Quaternions.  Star code does no arithmetic on packed monomials; each Theta
+and nu^s shift goes through the guarded `add_partial_rows` or `mono_mul`.
 """
 
 from __future__ import annotations
@@ -148,11 +148,11 @@ def _theta_steps(theta: ThetaSpec):
 
 
 def _order_rows(f, g, theta, max_order, first_order=1):
-    """Yield (s, rows, den) for first_order <= s <= max_order (None: until
+    """Yield (s, rows, scale) for first_order <= s <= max_order (None: until
     the series ends): sum_alpha (s!/alpha!) (d^alpha f)(D^alpha g) as integer
-    rows over `den`, before the factor 1/(s! 2^s) nu^s.  The levels still
-    step through the orders below `first_order`, but their rows are never
-    multiplied out."""
+    rows, and the Fraction that turns them into the series term C_s[f, g]:
+    1/(s! 2^s) over the rows' denominator.  The levels still step through
+    the orders below `first_order`, but their rows are never multiplied out."""
     steps, theta_den = _theta_steps(theta)
     if max_order == 0 or not any(steps):
         return
@@ -185,27 +185,24 @@ def _order_rows(f, g, theta, max_order, first_order=1):
             left = df.items() if c == 1 else [(mono, (n0 * c, n1 * c, n2 * c, n3 * c))
                                               for mono, (n0, n1, n2, n3) in df.items()]
             mul_rows(acc, left, dg.items())
-        yield s, acc.items(), f_den * g_den * theta_den ** s
-
-
-def _prefactor(s):
-    return Fraction(1, factorial(s) << s)
+        yield s, acc.items(), Fraction(1, (factorial(s) << s) * f_den * g_den * theta_den ** s)
 
 
 def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """The full (terminating) star product of f and g under `config`."""
     formal = config.nu == "formal"
     data = dict((f * g).items())
-    for s, rows, den in _order_rows(f, g, config.theta, 0 if config.nu == 0 else config.order_cap):
-        add_rows(data, rows, _prefactor(s) * (1 if formal else config.nu ** s) / den,
+    for s, rows, scale in _order_rows(f, g, config.theta, 0 if config.nu == 0 else config.order_cap):
+        add_rows(data, rows, scale if formal else scale * config.nu ** s,
                  var_mono(NU, s) if formal else ZERO_MONO)
     return QPolynomial.from_terms(data)
 
 
 def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
                     config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
-    """The coefficient of nu^s in the star expansion (nu kept formal); zero
-    past the cap and past the series end, the smaller position degree."""
+    """The series term C_s[f, g] of f * g = sum_s nu^s C_s[f, g], which has nu
+    in it when an operand does (so it is not the nu^s coefficient of star);
+    zero past the cap and past the series end, the smaller position degree."""
     if not isinstance(s, int) or s < 0:
         raise DomainError(f"correction order must be a non-negative int, got {s!r}")
     if s == 0:
@@ -213,8 +210,8 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
     data = {}
     if ((config.order_cap is None or s <= config.order_cap)
             and s <= min(f.position_degree(), g.position_degree())):
-        for _, rows, den in _order_rows(f, g, config.theta, s, s):
-            add_rows(data, rows, _prefactor(s) / den)
+        for _, rows, scale in _order_rows(f, g, config.theta, s, s):
+            add_rows(data, rows, scale)
     return QPolynomial.from_terms(data)
 
 

@@ -195,7 +195,7 @@ def star_parts(series, nu="formal"):
 
 
 def order_parts(series, s):
-    """The coefficient of nu^s."""
+    """The series term C_s, which has nu in it when an operand does."""
     if s >= len(series):
         return ({}, {}, {}, {})
     weight = Fraction(1, factorial(s) * 2 ** s)

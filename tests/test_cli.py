@@ -155,15 +155,18 @@ def test_bad_theta_and_nu_flags(capsys):
     assert run_cli(capsys, "eval", "--theta", "zz=1", "q")[0] == 2
     assert run_cli(capsys, "eval", "--theta", "ab", "q")[0] == 2
     assert run_cli(capsys, "eval", "--nu", "half", "q")[0] == 2
-    assert run_cli(capsys, "eval", "--order-cap", "-1", "q")[0] == 3
+    assert run_cli(capsys, "eval", "--order-cap", "-1", "q")[0] == 2
 
 
 @pytest.mark.parametrize("flag, value", [("--theta", "ab=x"), ("--theta", "ab=1=2"),
                                          ("--theta", "=1"), ("--theta", "zz=1"),
                                          ("--theta", "ab"), ("--nu", "half"), ("--nu", "1/0"),
-                                         ("--nu", "0.5"), ("--nu", "1e3"), ("--nu", "1_000")])
+                                         ("--nu", "0.5"), ("--nu", "1e3"), ("--nu", "1_000"),
+                                         ("--order-cap", "-1"), ("--order-cap", "1_0"),
+                                         ("--order-cap", "2.0")])
 def test_bad_flag_value_is_one_argparse_error(capsys, flag, value):
-    # Flag rationals are read with the expression grammar: p/q, no decimals or exponents.
+    # Flag rationals are read with the expression grammar: p/q, no decimals or exponents;
+    # --order-cap takes decimal digits only, as the fuzz counts do.
     code, out, err = run_cli(capsys, "eval", flag, value, "q")
     assert (code, out) == (2, "")
     errors = [line for line in err.splitlines() if "error:" in line]

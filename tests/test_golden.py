@@ -17,9 +17,9 @@ from random import Random
 
 import pytest
 
+from oracle_order import star_oracle_order
 from quatstar.expr import evaluate_text
-from quatstar.oracle import (poisson_bracket_oracle, random_qpoly, random_quaternion,
-                             star_oracle, star_oracle_order)
+from quatstar.oracle import poisson_bracket_oracle, random_qpoly, random_quaternion, star_oracle
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec, poisson_bracket, star,
                            star_order_term)

@@ -10,6 +10,7 @@ from fractions import Fraction
 from random import Random
 
 import refimpl
+from oracle_order import star_oracle_order
 from quatstar.oracle import random_qpoly, star_oracle
 from quatstar.star import PAIRS, StarConfig, ThetaSpec, poisson_bracket, star, star_order_term
 
@@ -39,10 +40,11 @@ def test_routes_match_the_third_route_on_seeded_pairs():
         assert refimpl.real_parts(star_oracle(f, g, StarConfig(spec, nu, cap))) == \
             refimpl.star_parts(series, nu), case
         for s in range(4):
-            assert refimpl.real_parts(star_order_term(f, g, s, StarConfig(spec, "formal", cap))) == \
-                refimpl.order_parts(series, s), (case, s)
+            for order_term in (star_order_term, star_oracle_order):
+                assert refimpl.real_parts(order_term(f, g, s, StarConfig(spec, "formal", cap))) == \
+                    refimpl.order_parts(series, s), (case, s, order_term.__name__)
         for pair in PAIRS:
             assert refimpl.real_parts(poisson_bracket(f, g, pair)) == \
                 refimpl.bracket_parts(f, g, pair), (case, pair)
-        compared += len(NUS) + 1 + 4 + len(PAIRS)
-    assert compared == 60 * 14
+        compared += len(NUS) + 1 + 2 * 4 + len(PAIRS)
+    assert compared == 60 * 18
