@@ -122,28 +122,25 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _disagrees(f, g, config) -> bool:
-    """The fuzz verdict: engine and oracle star products differ."""
-    return _engine_star(f, g, config) != _oracle.star_oracle(f, g, config)
+def _disagrees(f, g, config):
+    """The fuzz verdict: the engine and oracle products if they differ, else None."""
+    engine, oracle = _engine_star(f, g, config), _oracle.star_oracle(f, g, config)
+    return None if engine == oracle else (engine, oracle)
 
 
-def _shrink_counterexample(f, g, config):
-    """Drop terms from f and g while the engine/oracle disagreement persists."""
-    changed = True
-    while changed:
-        changed = False
-        for side in (0, 1):
-            current = (f, g)[side]
-            for mono, coeff in current.terms():
-                trimmed = current - QPolynomial([(mono, coeff)])
-                candidate = (trimmed, g) if side == 0 else (f, trimmed)
-                if _disagrees(*candidate, config):
-                    f, g = candidate
-                    changed = True
-                    break
-            if changed:
+def _shrink_counterexample(f, g, products, config):
+    """Each round keeps the first one-term-smaller pair that still disagrees,
+    f's terms tried before g's; returns the last such pair and its products."""
+    while True:
+        smaller = [(f - QPolynomial([term]), g) for term in f.terms()]
+        smaller += [(f, g - QPolynomial([term])) for term in g.terms()]
+        for pair in smaller:
+            verdict = _disagrees(*pair, config)
+            if verdict:
+                (f, g), products = pair, verdict
                 break
-    return f, g
+        else:
+            return f, g, products
 
 
 def _cmd_fuzz(args) -> int:
@@ -154,13 +151,14 @@ def _cmd_fuzz(args) -> int:
                                  max_terms=4, include_params=args.params)
         g = _oracle.random_qpoly(rng, max_position_degree=args.max_degree,
                                  max_terms=4, include_params=args.params)
-        if _disagrees(f, g, config):
-            f2, g2 = _shrink_counterexample(f, g, config)
+        verdict = _disagrees(f, g, config)
+        if verdict:
+            f, g, (engine, oracle) = _shrink_counterexample(f, g, verdict, config)
             print(f"counterexample at trial {trial}:")
-            print(f"  f = {f2.canonical_text()}")
-            print(f"  g = {g2.canonical_text()}")
-            print(f"  engine: {_engine_star(f2, g2, config).canonical_text()}")
-            print(f"  oracle: {_oracle.star_oracle(f2, g2, config).canonical_text()}")
+            print(f"  f = {f.canonical_text()}")
+            print(f"  g = {g.canonical_text()}")
+            print(f"  engine: {engine.canonical_text()}")
+            print(f"  oracle: {oracle.canonical_text()}")
             return EXIT_COUNTEREXAMPLE
     print(f"ok: {args.trials} trials, engine and oracle agree")
     return EXIT_OK

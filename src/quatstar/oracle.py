@@ -1,26 +1,24 @@
 """Independent reference route for the star product, plus randomized checks.
 
-`star_oracle` computes the product literally from the series definition:
-the s-th correction is (1/s!)(nu/2)^s times the sum over every ordered
-sequence of s signed derivative pairs drawn from the twelve summands of
-the exponent,
+`star_oracle` computes f * g = sum_s (nu/2)^s / s! * mul B^s(f (x) g) from
+the definition, the exponent B being the sum of the twelve signed summands
 
     (a,b,+T_ab), (b,a,-T_ab), (a,c,+T_ac), (c,a,-T_ac), (a,d,+T_ad),
     (d,a,-T_ad), (b,c,+T_bc), (c,b,-T_bc), (b,d,+T_bd), (d,b,-T_bd),
     (c,d,+T_cd), (d,c,-T_cd),
 
-applying the left index to the left operand and the right index to the
-right operand.  The walk is a plain depth-first enumeration on an explicit
-stack that abandons a branch once either iterated derivative vanishes, so
-the series ends where its last branch dies (or at the order cap).  Every
-sequence still costs one product of its two iterated derivatives; what
-siblings share is only the gradients of those derivatives, taken once per
-parent, and a path's weight is a Theta monomial and a rational, applied to
-each product term as it is added.  It shares only the primitives
-(`QPolynomial.gradient` and `*`, `add_term`, `mono_mul`, `Quaternion.scale`)
-with the main engine — no tensor state, no merging of sequences, no cache
-keyed by derivative multi-index, no degree bound, no integer rows — so
-agreement between the two routes is meaningful.
+each applying its left index to the left factor and its right index to the
+right factor.  B^s(f (x) g) is held with like terms collected, one entry per
+pair (alpha, beta) of derivative multi-indices, and the series ends where no
+pair is left (or at the order cap).  Each order's raw sum is one product
+d^alpha f * d^beta g per pair, times the pair's weight.
+
+It shares only primitives (`QPolynomial.gradient` and `*`, `add_term`,
+`mono_mul`, `var_mono`, `Quaternion.scale`) with the main engine, which sums
+over alpha alone, on integer rows, with multinomials s!/alpha! and
+derivatives D^alpha g that fold Theta in.  The oracle keeps the plain
+d^beta g, holds Theta in the weights and finds every multiplicity by merging
+the pairs B reaches, so agreement between the two routes is meaningful.
 
 The same module hosts the seeded random generators used by the fuzz
 harness and the randomized identity checks: rational values have
@@ -39,10 +37,10 @@ from .star import PAIRS, StarConfig, ThetaSpec, DEFAULT_CONFIG, pair_indices
 
 
 def _signed_steps(theta: ThetaSpec):
-    """steps[m]: (n, Theta monomial, signed weight) for each summand d_m (x) d_n
-    of the exponent.  Formal Theta gives the Theta_mn monomial and weight +-1,
+    """The summands d_m (x) d_n of the exponent as (m, n, Theta monomial,
+    signed weight).  Formal Theta gives the Theta_mn monomial and weight +-1,
     numeric Theta the unit monomial and +- the pair's value; zero pairs drop."""
-    steps = [[] for _ in range(4)]
+    steps = []
     for pos, pair in enumerate(PAIRS):
         m, n = pair_indices(pair)
         if theta.is_formal():
@@ -51,56 +49,56 @@ def _signed_steps(theta: ThetaSpec):
             mono, weight = ZERO_MONO, theta.values[pos]
             if not weight:
                 continue
-        steps[m].append((n, mono, weight))
-        steps[n].append((m, mono, -weight))
+        steps += [(m, n, mono, weight), (n, m, mono, -weight)]
     return steps
 
 
 def _order_sums(f, g, theta, cap):
-    """Raw sums over ordered pair sequences as term dicts; sums[s - 1] holds
-    the sequences of length s.  The walk forms every order it reaches.
+    """Raw sums of B^s(f (x) g) as term dicts; sums[s - 1] holds order s.
 
-    The list ends at the deepest order a branch reaches, or at `cap` when it
-    is not None.  A stack entry holds the gradients of its fd and gd and its
-    path weight, a (Theta monomial, rational) pair.  A node takes the
-    gradient of its fd_m once per live m and of its gd_n once per live n,
-    shared by the siblings; a child whose left gradient is all zero has no
-    branch and is not pushed, so its right gradient is never taken."""
+    An order maps (alpha, beta), packed monomials in a..d, to (d^alpha f,
+    d^beta g, weight), the weight a Theta monomial -> rational dict.  B adds
+    each pair's weight, times a summand's, into (alpha + e_m, beta + e_n)
+    when d_m d^alpha f and d_n d^beta g are nonzero; a cancelled weight drops.
+    Each distinct derivative's gradient is taken once per order, a right one
+    only for a pair with a nonzero left gradient.  The list ends at the first
+    order with no pair, or at `cap` when it is not None."""
     sums = []
     steps = _signed_steps(theta)
-    if cap == 0 or not any(steps):
+    if cap == 0 or not steps:
         return sums
-    stack = [(0, f.gradient(), g.gradient(), ZERO_MONO, 1)]
-    while stack:
-        depth, fds, gds, wmono, w = stack.pop()
-        deeper = cap is None or depth + 1 < cap
-        rights = {}
-        for m, fd in enumerate(fds):
-            if fd.is_zero():
+    level = {(ZERO_MONO, ZERO_MONO): (f, g, {ZERO_MONO: 1})}
+    while len(sums) != cap:
+        lefts, rights, children = {}, {}, {}
+        for (alpha, beta), (fd, gd, weight) in level.items():
+            fds = lefts[alpha] if alpha in lefts else lefts.setdefault(alpha, fd.gradient())
+            if not any(fds):
                 continue
-            left = fd.gradient() if deeper else None
-            push = deeper and any(left)
-            for n, theta_mono, signed in steps[m]:
-                gd = gds[n]
-                if gd.is_zero():
-                    continue
-                wmono2, w2 = mono_mul(wmono, theta_mono), w * signed
-                if depth == len(sums):
-                    sums.append({})
-                target = sums[depth]
-                for mono, coeff in (fd * gd).items():
-                    add_term(target, mono_mul(mono, wmono2),
-                             coeff if w2 == 1 else coeff.scale(w2))
-                if push:
-                    if n not in rights:
-                        rights[n] = gd.gradient()
-                    stack.append((depth + 1, left, rights[n], wmono2, w2))
+            gds = rights[beta] if beta in rights else rights.setdefault(beta, gd.gradient())
+            for m, n, theta_mono, signed in steps:
+                if fds[m] and gds[n]:
+                    key = (mono_mul(alpha, var_mono(m)), mono_mul(beta, var_mono(n)))
+                    child = children.setdefault(key, (fds[m], gds[n], {}))[2]
+                    for wmono, w in weight.items():
+                        wmono = mono_mul(wmono, theta_mono)
+                        w = (w * signed + child.pop(wmono)) if wmono in child else w * signed
+                        if w:
+                            child[wmono] = w
+        level = {key: pair for key, pair in children.items() if pair[2]}
+        if not level:
+            break
+        target = {}
+        for fd, gd, weight in level.values():
+            for mono, coeff in (fd * gd).items():
+                for wmono, w in weight.items():
+                    add_term(target, mono_mul(mono, wmono), coeff if w == 1 else coeff.scale(w))
+        sums.append(target)
     return sums
 
 
 def star_oracle(f: QPolynomial, g: QPolynomial,
                 config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
-    """The star product computed by literal series enumeration: each order's
+    """The star product summed from the series definition: each order's
     raw sum is weighted once by (nu/2)^s / s!, a formal nu^s as a shift."""
     formal = config.nu == "formal"
     sums = _order_sums(f, g, config.theta, config.order_cap if formal or config.nu else 0)

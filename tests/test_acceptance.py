@@ -372,6 +372,17 @@ def test_worst_case_power_under_one_second():
     assert len(power) == 20336 and elapsed < 1.0, elapsed
 
 
+def test_oracle_degree_six_star_under_three_seconds():
+    """The oracle's worst case in tier-1 terms: star_oracle(q^6, qbar^6)
+    equals the engine's product in under 3 s."""
+    f, g = gen_q() ** 6, gen_q().conjugate() ** 6
+    start = time.perf_counter()
+    product = oracle.star_oracle(f, g)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, elapsed
+    assert product == star(f, g)
+
+
 # --- criterion 8 -----------------------------------------------------------
 
 def _validate_report_schema(data):

@@ -356,6 +356,25 @@ def test_fuzz_counterexample_exit_code(capsys, monkeypatch):
     assert "engine:" in out and "oracle:" in out
 
 
+def test_fuzz_prints_the_products_that_decided_it(capsys, monkeypatch):
+    """An engine skewed only while f has two or more terms: the shrinker
+    keeps the last pair that disagrees, and the report prints it with the
+    two products of that pair's verdict."""
+    def skewed(f, g, config):
+        product = star(f, g, config)
+        return product + QPolynomial.variable("nu") if len(f) >= 2 else product
+
+    monkeypatch.setattr(cli, "_engine_star", skewed)
+    code, out, _ = run_cli(capsys, "fuzz", "--trials", "50", "--seed", "3", "--params",
+                           "--theta", "ab=1,cd=-2")
+    assert code == 5
+    assert out == ("counterexample at trial 0:\n"
+                   "  f = (2 + 4 i - 3/4 j + 2 k) a b c d + (-9 - 4 i - 1/4 k) b^3\n"
+                   "  g = 0\n"
+                   "  engine: nu\n"
+                   "  oracle: 0\n")
+
+
 def test_table_brackets(capsys):
     code, out, _ = run_cli(capsys, "table", "--brackets")
     assert code == 0

@@ -115,6 +115,17 @@ def test_order_term_extraction():
     assert star_oracle(f, g, cancelling) == star(f, g, cancelling)
 
 
+def test_collected_weight_that_cancels_drops_its_pair():
+    """Under formal Theta, B^3(abc (x) abc) has the one pair (a+b+c, a+b+c),
+    reached along the two 3-cycles of {a, b, c} with weights
+    -+Theta_ab Theta_ac Theta_bc that cancel: the oracle drops the pair, so
+    its series ends at order 2, and the engine's order 3 is zero too."""
+    f = QPolynomial.variable("a") * QPolynomial.variable("b") * QPolynomial.variable("c")
+    assert len(quatstar.oracle._order_sums(f, f, ThetaSpec.formal(), None)) == 2
+    assert not star_order_term(f, f, 2).is_zero() and star_order_term(f, f, 3).is_zero()
+    assert star_oracle(f, f) == star(f, f)
+
+
 @pytest.mark.parametrize("route", [star, star_oracle])
 def test_star_of_a_and_b_powers_has_a_closed_form(route):
     """star(a^n, b^n) = sum_s C(n,s)^2 s! (nu Theta_ab / 2)^s a^(n-s) b^(n-s)

@@ -7,7 +7,8 @@ from random import Random
 import pytest
 
 from quatstar.errors import UnknownIdentityError
-from quatstar.expr import evaluate_text
+import quatstar.verify as verify
+from quatstar.expr import Call, evaluate_text, lower, parse_expression
 from quatstar.oracle import random_qpoly
 from quatstar.poly import QPolynomial
 from quatstar.quat import Quaternion
@@ -178,6 +179,31 @@ def test_fn_assoc_mismatch_records_the_first_triple(monkeypatch):
     record = run_identity("V4.fn_assoc")
     witness = f"f = {f}, g = {g}, h = {h}"
     assert (record.status, record.engine_value, record.witness) == (MISMATCH, witness, witness)
+
+
+def test_v11_operands_lie_inside_the_associativity_proof(monkeypatch):
+    """V11.1-V11.4 are MISMATCH because the star product is associative:
+    every operand they pass to assoc has position degree <= 2, so
+    test_star.py's test_associativity_through_position_degree_two, with
+    trilinearity, covers each of their verdicts."""
+    texts = [run_identity(rid).claim_text.split(" != ")[0]
+             for rid in ("V11.1", "V11.2", "V11.3")]
+    screened = []
+
+    def capture(text, *args, **kwargs):
+        screened.append(text)
+        return evaluate_text(text, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "evaluate_text", capture)
+    assert run_identity("V11.4").status == MISMATCH
+    texts += [text for text in screened if text != "0"]
+    assert len(texts) == 3 + 125
+    degrees = set()
+    for text in texts:
+        node = parse_expression(text)
+        assert isinstance(node, Call) and node.func == "assoc", text
+        degrees.update(lower(arg).position_degree() for arg in node.args)
+    assert max(degrees) <= 2, degrees
 
 
 def test_run_matching_prefixes():
