@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .poly import PAIRS, QPolynomial, VARIABLES, gen_q, gen_qbar
+from . import oracle as _oracle
 from . import quat as _quat
 from .star import DEFAULT_CONFIG, StarConfig
 from .star import poisson_bracket as _engine_bracket
@@ -260,15 +261,6 @@ def _atom_poly(ident: str) -> QPolynomial:
 _CHAIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _backend_fns(backend: str):
-    if backend == "engine":
-        return _engine_star, _engine_bracket
-    if backend == "oracle":
-        from . import oracle as _oracle
-        return _oracle.star_oracle, _oracle.poisson_bracket_oracle
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def lower(node, config: StarConfig = DEFAULT_CONFIG,
           backend: str = "engine") -> QPolynomial:
     """Evaluate a syntax tree to a polynomial.
@@ -276,7 +268,12 @@ def lower(node, config: StarConfig = DEFAULT_CONFIG,
     Star products (star, comm, assoc) are computed by the chosen backend
     under `config`; bare nu/Theta atoms always denote the formal variables.
     """
-    star_fn, bracket_fn = _backend_fns(backend)
+    if backend == "engine":
+        star_fn, bracket_fn = _engine_star, _engine_bracket
+    elif backend == "oracle":
+        star_fn, bracket_fn = _oracle.star_oracle, _oracle.poisson_bracket_oracle
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
 
     def go(n):
         if isinstance(n, Num):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import quatstar.oracle
+from quatstar import cli
 from quatstar.errors import DomainError, ParseError
 from quatstar.expr import evaluate_text, lower, tokenize
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
@@ -76,6 +78,20 @@ def test_oracle_backend_agrees():
         assert evaluate_text(text, backend="oracle") == evaluate_text(text)
     with pytest.raises(ValueError):
         evaluate_text("q", backend="guess")
+
+
+def test_oracle_route_is_read_at_call_time(monkeypatch, capsys):
+    # Patching the oracle module reaches expression lowering and `eval
+    # --backend oracle`, and leaves the engine route alone.
+    marker = QPolynomial.variable("nu")
+    monkeypatch.setattr(quatstar.oracle, "star_oracle", lambda f, g, config=None: marker)
+    monkeypatch.setattr(quatstar.oracle, "poisson_bracket_oracle", lambda f, g, pair: marker)
+    assert evaluate_text("star(q, q)", backend="oracle") == marker
+    assert evaluate_text("pb_ab(q, q)", backend="oracle") == marker
+    assert cli.main(["eval", "--backend", "oracle", "star(q, q)"]) == 0
+    assert capsys.readouterr().out == "nu\n"
+    assert evaluate_text("star(q, q)") != marker
+    assert evaluate_text("pb_ab(q, q)") != marker
 
 
 def test_config_threads_through_calls():

@@ -1,10 +1,13 @@
 """The identity verifier: record statuses, reports, rendering, round trips."""
 
+import itertools
 import json
 from pathlib import Path
 from random import Random
 
 import pytest
+import sympy
+from sympy.algebras.quaternion import Quaternion as SympyQuaternion
 
 from quatstar.errors import UnknownIdentityError
 import quatstar.verify as verify
@@ -278,3 +281,86 @@ def test_cli_report_equals_the_reference_catalogue(verify_cli_json):
     # `--out` ends the file with a newline; the reference is stored without one
     ref = Path(__file__).resolve().parents[1] / "bench" / "ref" / "catalogue.json"
     assert verify_cli_json[1] == ref.read_text(encoding="utf-8") + "\n"
+
+
+# --- the sampled V1-V4 verdicts as theorems ------------------------------------
+# sympy quaternions over real symbols do the algebra, so these proofs share no
+# arithmetic with quatstar; they read only the report's statuses and witness.
+
+X_PARTS = sympy.symbols("x0:4", real=True)
+Y_PARTS = sympy.symbols("y0:4", real=True)
+X, Y, Z = (SympyQuaternion(*parts) for parts in
+           (X_PARTS, Y_PARTS, sympy.symbols("z0:4", real=True)))
+
+
+def _parts(q):
+    return (q.a, q.b, q.c, q.d)
+
+
+def _conj(q):
+    return SympyQuaternion(q.a, -q.b, -q.c, -q.d)
+
+
+def _real(r):
+    return SympyQuaternion(r, 0, 0, 0)
+
+
+def _norm_sq(q):
+    return sum(part ** 2 for part in _parts(q))
+
+
+def _identical(lhs, rhs):
+    return all(sympy.expand(left - right) == 0 for left, right in zip(_parts(lhs), _parts(rhs)))
+
+
+def _record(report, rid):
+    return next(record for record in report.records if record.id == rid)
+
+
+# x conj(x) = conj(x) x = |x|^2: q1 conj(q1) / |q1|^2 = 1, and conj(q1)/|q1|^2 is
+# a two-sided inverse, wherever |q1|^2 != 0.
+_NORM_PRODUCTS = [(X * _conj(X), _real(_norm_sq(X))), (_conj(X) * X, _real(_norm_sq(X)))]
+
+SYMBOLIC_LAWS = {
+    "V1.sum": [(_conj(X + Y), _conj(X) + _conj(Y))],
+    "V1.involution": [(_conj(_conj(X)), X)],
+    "V1.real": [(_conj(_real(X.a)), _real(X.a))],
+    "V2.norm_conj": [(_real(_norm_sq(_conj(X))), _real(_norm_sq(X)))],
+    "V2.multiplicative": [(_real(_norm_sq(X * Y)), _real(_norm_sq(X) * _norm_sq(Y)))],
+    "V3.unit": _NORM_PRODUCTS,
+    "V3.inverse": _NORM_PRODUCTS,
+    "V4.add_comm": [(X + Y, Y + X)],
+    "V4.add_assoc": [(X + (Y + Z), (X + Y) + Z)],
+    "V4.mul_assoc": [(X * (Y * Z), (X * Y) * Z)],
+    "V4.distributive": [(X * (Y + Z), X * Y + X * Z)],
+}
+
+
+@pytest.mark.parametrize("rid", SYMBOLIC_LAWS)
+def test_sampled_law_is_an_identity(full_report, rid):
+    for lhs, rhs in SYMBOLIC_LAWS[rid]:
+        assert _identical(lhs, rhs), (lhs, rhs)
+    assert _record(full_report, rid).status == MATCH
+
+
+def test_triangle_law_follows_from_lagrange_identity(full_report):
+    dot = sum(x * y for x, y in zip(X_PARTS, Y_PARTS))
+    squares = sum((X_PARTS[m] * Y_PARTS[n] - X_PARTS[n] * Y_PARTS[m]) ** 2
+                  for m, n in itertools.combinations(range(4), 2))
+    assert sympy.expand(_norm_sq(X) * _norm_sq(Y) - dot ** 2 - squares) == 0
+    # triangle_check's gap is 2 <x, y>, so 4 |x|^2 |y|^2 - gap^2 is 4 times a
+    # sum of squares: gap^2 <= 4 |x|^2 |y|^2 for every pair.
+    gap = _norm_sq(X + Y) - _norm_sq(X) - _norm_sq(Y)
+    assert sympy.expand(gap - 2 * dot) == 0
+    assert _record(full_report, "V2.triangle").status == MATCH
+
+
+def test_product_conjugation_is_refuted_and_reversed_holds(full_report):
+    # The difference is a nonzero polynomial: it is -2k at the report's witness.
+    difference = [sympy.expand(part) for part in _parts(_conj(X * Y) - _conj(X) * _conj(Y))]
+    at_i_j = dict(zip(X_PARTS + Y_PARTS, (0, 1, 0, 0, 0, 0, 1, 0)))
+    assert [part.subs(at_i_j) for part in difference] == [0, 0, 0, -2]
+    assert _identical(_conj(X * Y), _conj(Y) * _conj(X))
+    record = _record(full_report, "V1.product")
+    assert (record.status, record.witness) == (
+        MISMATCH, "q1 = i, q2 = j: conj(q1 q2) = -k, conj(q1) conj(q2) = k")
