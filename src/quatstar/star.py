@@ -25,7 +25,7 @@ Theta is constant, so B = sum_m d_m (x) D_m with D_m = sum_n Theta_mn d_n
 
 over derivative multi-indices alpha, so no state over pairs (alpha, beta)
 is needed.  Order s keeps a level, a list of (d^alpha f, D^alpha g, s!/alpha!)
-with the derivatives as integer rows (see `poly`): d^alpha f over the
+with the derivatives as rows (see `poly`): d^alpha f over the
 denominator of f, D^alpha g over that of g times L^s, where numeric Theta is
 scaled to ints by the lcm L of its denominators; formal Theta puts its
 monomials into the rows of D^alpha g.  Alpha grows only in directions at or
@@ -33,12 +33,20 @@ after its last one, so each alpha is reached once, from alpha - e_m with m
 its last direction: its rows are d_m d^alpha' f and D_m D^alpha' g and its
 multinomial (s-1)!/alpha'! times s/k, k the new exponent of m.  One rule
 decides a child: alpha + e_m exists iff d_m d^alpha f != 0 and
-D_m D^alpha g != 0, so the series ends by itself; nu = 0 is order cap 0.
-Each order's sum is one row product per alpha, with s!/alpha! folded into
-the left rows; one scale per order, 1/(s! 2^s) over the denominators, times
-a numeric nu^s, is applied to each output term as it turns back into
-Quaternions.  Star code does no arithmetic on packed monomials; each Theta
-and nu^s shift goes through the guarded `add_partial_rows` or `mono_mul`.
+D_m D^alpha g != 0, so the series ends by itself; nu = 0 and zero Theta
+are order cap 0.  Each order's sum is one row product per alpha, with
+s!/alpha! folded into the left rows; one scale per order, 1/(s! 2^s) over
+the denominators, times a numeric nu^s, is applied to each output term as
+it turns back into Quaternions.
+
+One walk serves both row formats, chosen per call by one rule: signed-unit
+rows iff every coefficient of f and of g has exactly one nonzero component
+(q^n, qbar^n, i q and their products all do), integer rows otherwise.  A
+signed-unit row product is one int multiply placed by the unit table, an
+integer row product sixteen; signed-unit rows also form order 0, which
+integer rows leave to f * g on Quaternions.  Star code does no arithmetic
+on packed monomials; each Theta and nu^s shift goes through a guarded
+partial or conversion.
 """
 
 from __future__ import annotations
@@ -48,8 +56,9 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import DomainError
-from .poly import (NU, PAIRS, VAR_INDEX, ZERO_MONO, QPolynomial, add_partial_rows, add_rows,
-                   exact_rational, mul_rows, var_mono)
+from .poly import (NU, PAIRS, VAR_INDEX, ZERO_MONO, QPolynomial, add_partial_rows,
+                   add_partial_unit_rows, add_rows, add_unit_rows, exact_rational, mul_rows,
+                   mul_unit_rows, var_mono)
 
 _PAIR_INDICES = {pair: (VAR_INDEX[pair[0]], VAR_INDEX[pair[1]]) for pair in PAIRS}
 _PAIR_THETA = {pair: VAR_INDEX["Theta_" + pair] for pair in PAIRS}
@@ -147,55 +156,76 @@ def _theta_steps(theta: ThetaSpec):
     return steps, den
 
 
-def _order_rows(f, g, theta, max_order, first_order=1):
-    """Yield (s, rows, scale) for first_order <= s <= max_order (None: until
-    the series ends): sum_alpha (s!/alpha!) (d^alpha f)(D^alpha g) as integer
-    rows, and the Fraction that turns them into the series term C_s[f, g]:
-    1/(s! 2^s) over the rows' denominator.  The levels still step through
-    the orders below `first_order`, but their rows are never multiplied out."""
+def _order_rows(f, g, theta, nu, max_order, first_order=0):
+    """The term dict of sum nu^s C_s[f, g] over first_order <= s <=
+    max_order (None: until the series ends), with C_s the rows' sum
+    sum_alpha (s!/alpha!) (d^alpha f)(D^alpha g) times 1/(s! 2^s) over the
+    rows' denominator; a formal nu (nu == "formal") goes into the monomials.
+    Signed-unit rows serve iff every coefficient of f and g has one nonzero
+    component; integer rows serve otherwise, with order 0 taken as f * g.
+    The levels still step through the orders below `first_order`, but their
+    rows are never multiplied out."""
     steps, theta_den = _theta_steps(theta)
-    if max_order == 0 or not any(steps):
-        return
-    (f_rows, f_den), (g_rows, g_den) = f.rows(), g.rows()
+    if not any(steps):
+        max_order = 0
+    formal, data = nu == "formal", {}
+    f_units = f.unit_rows()
+    g_units = f_units and g.unit_rows()
+    # Each format's partial, product, conversion back to Quaternion terms,
+    # and the entry that a sum which cancels leaves behind.
+    if g_units:
+        rows = f_units, g_units
+        partial, product, to_terms, cancelled = (add_partial_unit_rows, mul_unit_rows,
+                                                 add_unit_rows, 0)
+    else:
+        partial, product, to_terms, cancelled = add_partial_rows, mul_rows, add_rows, (0, 0, 0, 0)
+        if first_order == 0:
+            data.update((f * g).items())
+            first_order = 1
+        if max_order == 0:
+            return data
+        rows = f.rows(), g.rows()
+    (f_rows, f_den), (g_rows, g_den) = rows
     # An entry per alpha: (rows of d^alpha f, rows of D^alpha g, s!/alpha!,
     # the last direction m of alpha, alpha_m); alpha = 0 has none, so m = 0.
     level = [(f_rows, g_rows, 1, 0, 0)]
     s = 0
-    while level and s != max_order:
+    while True:
+        if s >= first_order:
+            acc = {}
+            for df, dg, c, _, _ in level:
+                product(acc, df.items(), dg.items(), c)
+            scale = Fraction(1, (factorial(s) << s) * f_den * g_den * theta_den ** s)
+            if formal:
+                to_terms(data, acc.items(), scale, var_mono(NU, s))
+            else:
+                to_terms(data, acc.items(), scale * nu ** s)
+        if s == max_order:
+            return data
         s += 1
         grown = []
         for df, dg, c, last, k in level:
             for m in range(last, 4):
                 df_m = {}
-                add_partial_rows(df_m, df, m, 1)
+                partial(df_m, df, m, 1)
                 if not df_m:
                     continue
                 dg_m = {}
                 for n, theta_mono, signed in steps[m]:
-                    add_partial_rows(dg_m, dg, n, signed, theta_mono)
-                dg_m = {mono: row for mono, row in dg_m.items() if row != (0, 0, 0, 0)}
+                    partial(dg_m, dg, n, signed, theta_mono)
+                dg_m = {key: row for key, row in dg_m.items() if row != cancelled}
                 if dg_m:
                     k_m = k + 1 if m == last else 1
                     grown.append((df_m, dg_m, c * s // k_m, m, k_m))
         level = grown
-        if s < first_order or not level:
-            continue
-        acc = {}
-        for df, dg, c, _, _ in level:
-            left = df.items() if c == 1 else [(mono, (n0 * c, n1 * c, n2 * c, n3 * c))
-                                              for mono, (n0, n1, n2, n3) in df.items()]
-            mul_rows(acc, left, dg.items())
-        yield s, acc.items(), Fraction(1, (factorial(s) << s) * f_den * g_den * theta_den ** s)
+        if not level:
+            return data
 
 
 def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """The full (terminating) star product of f and g under `config`."""
-    formal = config.nu == "formal"
-    data = dict((f * g).items())
-    for s, rows, scale in _order_rows(f, g, config.theta, 0 if config.nu == 0 else config.order_cap):
-        add_rows(data, rows, scale if formal else scale * config.nu ** s,
-                 var_mono(NU, s) if formal else ZERO_MONO)
-    return QPolynomial.from_terms(data)
+    return QPolynomial.from_terms(_order_rows(f, g, config.theta, config.nu,
+                                              0 if config.nu == 0 else config.order_cap))
 
 
 def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
@@ -205,14 +235,10 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
     zero past the cap and past the series end, the smaller position degree."""
     if not isinstance(s, int) or s < 0:
         raise DomainError(f"correction order must be a non-negative int, got {s!r}")
-    if s == 0:
-        return f * g
-    data = {}
-    if ((config.order_cap is None or s <= config.order_cap)
-            and s <= min(f.position_degree(), g.position_degree())):
-        for _, rows, scale in _order_rows(f, g, config.theta, s, s):
-            add_rows(data, rows, scale)
-    return QPolynomial.from_terms(data)
+    if ((config.order_cap is not None and s > config.order_cap)
+            or s > min(f.position_degree(), g.position_degree())):
+        return QPolynomial.zero()
+    return QPolynomial.from_terms(_order_rows(f, g, config.theta, 1, s, s))
 
 
 def star_commutator(f: QPolynomial, g: QPolynomial,

@@ -372,6 +372,16 @@ def test_worst_case_power_under_one_second():
     assert len(power) == 20336 and elapsed < 1.0, elapsed
 
 
+def test_worst_case_star_under_two_seconds():
+    """star(q^8, qbar^8), with 38,336 terms, is the worst-case star product;
+    every coefficient of both operands has one nonzero component."""
+    f, g = gen_q() ** 8, gen_q().conjugate() ** 8
+    start = time.perf_counter()
+    product = star(f, g)
+    elapsed = time.perf_counter() - start
+    assert len(product) == 38336 and elapsed < 2.0, elapsed
+
+
 def test_oracle_degree_six_star_under_three_seconds():
     """The oracle's worst case in tier-1 terms: star_oracle(q^6, qbar^6)
     equals the engine's product in under 3 s."""

@@ -224,7 +224,8 @@ def test_oracle_shares_no_star_kernel():
     integer-row kernel from `poly`, and the engine never takes the oracle's
     `gradient`, so that their agreement stays a check on two routes."""
     star_names = {"PAIRS", "StarConfig", "ThetaSpec", "DEFAULT_CONFIG", "pair_indices"}
-    row_kernel = {"mul_rows", "add_rows", "add_partial_rows", "live_directions"}
+    row_kernel = {"mul_rows", "add_rows", "add_partial_rows", "live_directions",
+                  "unit_rows", "mul_unit_rows", "add_unit_rows", "add_partial_unit_rows"}
     oracle_path = Path(quatstar.oracle.__file__)
     tree = ast.parse(oracle_path.read_text(encoding="utf-8"))
     for node in ast.walk(tree):

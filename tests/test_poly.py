@@ -13,8 +13,9 @@ from quatstar.errors import DomainError
 from quatstar.expr import evaluate_text
 from quatstar.oracle import random_qpoly, random_quaternion
 from quatstar.poly import (EXPONENT_LIMIT, NU as NU_INDEX, QPolynomial, VARIABLES, ZERO_MONO,
-                           add_partial_rows, add_rows, gen_q, gen_qbar, mono_text, mul_rows,
-                           var_index, var_mono)
+                           add_partial_rows, add_partial_unit_rows, add_rows, add_unit_rows,
+                           gen_q, gen_qbar, mono_text, mul_rows, mul_unit_rows, var_index,
+                           var_mono)
 from quatstar.quat import GROUP_ELEMENTS, I, J, K, ONE, Quaternion
 from quatstar.star import PAIRS, pair_indices, star
 from test_golden import CENTRAL_REALS, central_bases, with_real
@@ -273,6 +274,95 @@ def test_partial_rows_equal_shifted_scaled_partials():
     at_limit = QPolynomial({_mono(b=1, Theta_ab=EXPONENT_LIMIT): 1})
     with pytest.raises(DomainError, match="exponent overflow"):
         add_partial_rows({}, at_limit.rows()[0], var_index("b"), 1, theta_ab)
+
+
+def _sparse_qpoly(rng):
+    """A seeded polynomial whose coefficients keep 1-4 of their components."""
+    terms = []
+    for mono, coeff in random_qpoly(rng, 4, 4, True).terms():
+        keep = rng.sample(range(4), rng.randint(1, 4))
+        terms.append((mono, Quaternion(*(x if u in keep else 0
+                                         for u, x in enumerate(coeff.components())))))
+    return QPolynomial(terms)
+
+
+def _unit_split(rows):
+    """Integer rows as signed-unit rows, one row per nonzero component."""
+    return {m << 2 | u: n for m, row in rows.items() for u, n in enumerate(row) if n}
+
+
+def test_signed_unit_kernel_equals_the_row_kernel():
+    """On rows of 1-4 components per term, the signed-unit product, partial
+    and conversion give the polynomials that `mul_rows`, `add_partial_rows`
+    and `add_rows` give, sums that cancel included: a sum that cancels stays
+    as a zero entry and converts to no term."""
+    rng = Random(19)
+    theta_ab = var_mono(var_index("Theta_ab"))
+    factors = ((1, ZERO_MONO, QPolynomial.constant(1)),
+               (-3, theta_ab, QPolynomial.variable("Theta_ab") * -3))
+    pairs = [(gen_q(), gen_qbar()), (gen_q() ** 3, gen_q() ** 2)]
+    pairs += [(_sparse_qpoly(rng), _sparse_qpoly(rng)) for _ in range(40)]
+    for p, r in pairs:
+        (p_rows, p_den), (r_rows, r_den) = p.rows(), r.rows()
+        p_units, r_units = _unit_split(p_rows), _unit_split(r_rows)
+        single = all(len(_unit_split({0: row})) == 1 for row in p_rows.values())
+        assert p.unit_rows() == ((p_units, p_den) if single else None)
+        assert QPolynomial.from_terms(add_unit_rows({}, p_units.items(), Fraction(1, p_den))) == p
+        for c in (1, 3):
+            by_rows, by_units = {}, {}
+            mul_rows(by_rows, p_rows.items(), r_rows.items(), c)
+            mul_unit_rows(by_units, p_units.items(), r_units.items(), c)
+            scale = Fraction(1, p_den * r_den)
+            product = QPolynomial.from_terms(add_rows({}, by_rows.items(), scale))
+            assert product == p * r * c
+            assert QPolynomial.from_terms(add_unit_rows({}, by_units.items(), scale)) == product
+            mul_rows(by_rows, p_rows.items(), r_rows.items(), -c)
+            mul_unit_rows(by_units, p_units.items(), r_units.items(), -c)
+            assert set(by_units.values()) <= {0} and add_unit_rows({}, by_units.items(), scale) == {}
+            assert add_rows({}, by_rows.items(), scale) == {}
+        for idx in range(4):
+            for k, shift, factor in factors:
+                by_rows, by_units = {}, {}
+                add_partial_rows(by_rows, p_rows, idx, k, shift)
+                add_partial_unit_rows(by_units, p_units, idx, k, shift)
+                scale = Fraction(1, p_den)
+                partial = QPolynomial.from_terms(add_rows({}, by_rows.items(), scale))
+                assert partial == p.partial(idx) * factor
+                assert QPolynomial.from_terms(add_unit_rows({}, by_units.items(), scale)) == partial
+                add_partial_unit_rows(by_units, p_units, idx, -k, shift)
+                assert set(by_units.values()) <= {0} and add_unit_rows({}, by_units.items(), scale) == {}
+
+
+def _overflow(run):
+    """The message of the DomainError `run()` raises, or None."""
+    try:
+        run()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def test_signed_unit_kernel_overflows_where_the_row_kernel_does():
+    limit = EXPONENT_LIMIT
+    operands = [QPolynomial({_mono(**exps): unit}) for exps, unit in [
+        ({"a": limit}, I), ({"a": 1}, J), ({"b": 1}, ONE), ({"a": limit - 1, "b": 2}, -K),
+        ({"a": 600000}, ONE), ({"b": 600000}, J), ({"b": 1, "Theta_ab": limit}, J),
+        ({"Theta_ab": 1}, -I)]]
+    shifts = (ZERO_MONO, var_mono(var_index("Theta_ab")), var_mono(var_index("a"), limit))
+    raised = []
+    for x in operands:
+        x_rows, x_units = x.rows()[0], x.unit_rows()[0]
+        for y in operands:
+            y_rows, y_units = y.rows()[0], y.unit_rows()[0]
+            message = _overflow(lambda: mul_rows({}, x_rows.items(), y_rows.items()))
+            assert _overflow(lambda: mul_unit_rows({}, x_units.items(), y_units.items())) == message
+            raised.append(message)
+        for idx in range(4):
+            for shift in shifts:
+                message = _overflow(lambda: add_partial_rows({}, x_rows, idx, 1, shift))
+                assert _overflow(lambda: add_partial_unit_rows({}, x_units, idx, 1, shift)) == message
+                raised.append(message)
+    assert set(raised) == {None, f"exponent overflow: monomial exponent exceeds {limit}"}
 
 
 def test_partials_commute():

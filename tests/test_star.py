@@ -17,6 +17,7 @@ from quatstar.quat import UNITS, I, J, K, Quaternion
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec,
                            associator, pair_indices, poisson_bracket, star,
                            star_commutator, star_order_term)
+from oracle_order import star_oracle_order
 
 Q = gen_q()
 QBAR = gen_qbar()
@@ -158,21 +159,54 @@ def test_star_with_zero_theta_or_zero_nu():
     assert star(f, g, cfg_zero_nu) == f * g
 
 
+# q q and qbar have one nonzero component per coefficient, so the engine runs
+# them on signed-unit rows; (1 + i) q q has two, which keeps it on integer rows.
+UNIT_PAIR = (Q * Q, QBAR)
+DENSE_PAIR = (Q * Q * Quaternion(1, 1), QBAR)
+
+
 @pytest.mark.parametrize("config", [StarConfig(nu=0), StarConfig(order_cap=0)],
                          ids=["nu-0", "cap-0"])
 @pytest.mark.parametrize("route", [star, star_oracle], ids=["engine", "oracle"])
 def test_nu_zero_is_order_cap_zero_on_both_routes(monkeypatch, route, config):
     # nu = 0 and order cap 0 are one rule: both routes return f g without
-    # building a derivative, so neither rows nor gradients are ever formed.
-    f, g = Q * Q, QBAR
-    expected = f * g
+    # building a derivative, so neither integer rows, signed-unit partials
+    # nor gradients are ever formed, on a pair of either row format.
+    pairs = [UNIT_PAIR, DENSE_PAIR]
+    expected = [f * g for f, g in pairs]
 
-    def no_derivatives(self):
+    def no_derivatives(*args):
         raise AssertionError("order cap 0 builds no rows or gradients")
 
     monkeypatch.setattr(QPolynomial, "rows", no_derivatives)
     monkeypatch.setattr(QPolynomial, "gradient", no_derivatives)
-    assert route(f, g, config) == expected
+    monkeypatch.setattr(importlib.import_module("quatstar.star"), "add_partial_unit_rows",
+                        no_derivatives)
+    assert [route(f, g, config) for f, g in pairs] == expected
+
+
+@pytest.mark.parametrize("f, g, other", [
+    (*UNIT_PAIR, "mul_rows"), (Q ** 3, QBAR ** 2, "mul_rows"),
+    (_const(J) * Q * QBAR * Q, _const(I) * QBAR - QPolynomial.variable("nu"), "mul_rows"),
+    (*DENSE_PAIR, "mul_unit_rows"), (QBAR, Q + _const(Quaternion(1, 0, 0, 1)), "mul_unit_rows"),
+], ids=["q q, qbar", "q^3, qbar^2", "j q qbar q, i qbar - nu", "(1 + i) q q, qbar",
+        "qbar, q + 1 + k"])
+@pytest.mark.parametrize("config", [StarConfig(), StarConfig(
+    theta=ThetaSpec.numeric({"ab": 1, "bc": Fraction(3, 2), "cd": -2}), nu=Fraction(1, 3))],
+                         ids=["formal", "numeric"])
+def test_each_pair_runs_on_one_row_format(monkeypatch, f, g, other, config):
+    # Operands with one nonzero component per coefficient never reach
+    # `mul_rows`; a pair with a denser coefficient never reaches the
+    # signed-unit product.  Either way the product is the oracle's.
+    expected = star_oracle(f, g, config)
+
+    def other_format(*args):
+        raise AssertionError(f"{other} reached")
+
+    expected_orders = [star_oracle_order(f, g, s, config) for s in range(3)]
+    monkeypatch.setattr(importlib.import_module("quatstar.star"), other, other_format)
+    assert star(f, g, config) == expected
+    assert [star_order_term(f, g, s, config) for s in range(3)] == expected_orders
 
 
 def test_star_with_numeric_theta():
