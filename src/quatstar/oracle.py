@@ -16,9 +16,9 @@ d^alpha f * d^beta g per pair, times the pair's weight.
 It shares only primitives (`QPolynomial.gradient` and `*`, `add_term`,
 `mono_mul`, `var_mono`, `Quaternion.scale`) with the main engine, which sums
 over alpha alone, on integer rows, with multinomials s!/alpha! and
-derivatives D^alpha g that fold Theta in.  The oracle keeps the plain
-d^beta g, holds Theta in the weights and finds every multiplicity by merging
-the pairs B reaches, so agreement between the two routes is meaningful.
+derivatives D^alpha g that fold Theta, nu and 1/2 in.  The oracle keeps the
+plain d^beta g, holds Theta in the weights and finds every multiplicity by
+merging the pairs B reaches, so agreement between the routes is meaningful.
 
 The same module hosts the seeded random generators used by the fuzz
 harness and the randomized identity checks: rational values have

@@ -193,14 +193,13 @@ def add_partial_rows(acc: dict, rows: dict, idx: int, k: int, shift: int = ZERO_
             acc[mono] = (p0 + e * n0, p1 + e * n1, p2 + e * n2, p3 + e * n3)
 
 
-def add_rows(data: dict, rows, scale: Fraction, shift: int = ZERO_MONO) -> dict:
-    """Add each nonzero row times the nonzero rational `scale`, at its
-    monomial times `shift`, into the term dict `data` as a reduced
-    Quaternion; returns `data`."""
+def add_rows(data: dict, rows, scale: Fraction) -> dict:
+    """Add each nonzero row times the nonzero rational `scale` into the
+    term dict `data` as a reduced Quaternion; returns `data`."""
     p, q = scale.numerator, scale.denominator
     for mono, (n0, n1, n2, n3) in rows:
         if n0 or n1 or n2 or n3:
-            add_term(data, mono_mul(mono, shift), _quat(n0 * p, n1 * p, n2 * p, n3 * p, q))
+            add_term(data, mono, _quat(n0 * p, n1 * p, n2 * p, n3 * p, q))
     return data
 
 
@@ -259,10 +258,10 @@ def add_partial_unit_rows(acc: dict, rows: dict, idx: int, k: int,
             acc[moved] = get(moved, 0) + e * k * n
 
 
-def add_unit_rows(data: dict, rows, scale: Fraction, shift: int = ZERO_MONO) -> dict:
+def add_unit_rows(data: dict, rows, scale: Fraction) -> dict:
     """`add_rows` on signed-unit rows: the nonzero rows of each monomial
     make one reduced Quaternion, times `scale`, added into the term dict
-    `data` at the monomial times `shift`; returns `data`."""
+    `data`; returns `data`."""
     quads = {}
     for key, n in rows:
         if n:
@@ -270,7 +269,7 @@ def add_unit_rows(data: dict, rows, scale: Fraction, shift: int = ZERO_MONO) -> 
             if (quad := quads.get(mono)) is None:
                 quads[mono] = quad = [0, 0, 0, 0]
             quad[key & 3] = n
-    return add_rows(data, quads.items(), scale, shift)
+    return add_rows(data, quads.items(), scale)
 
 
 def _coerce_coeff(value) -> Quaternion:

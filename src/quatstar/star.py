@@ -18,26 +18,28 @@ Because B only differentiates in a..d, the series terminates at
 s = min(position degree f, position degree g).  Theta and nu may stay formal
 (fresh central variables) or be given exact rational values.
 
-Theta is constant, so B = sum_m d_m (x) D_m with D_m = sum_n Theta_mn d_n
-(Theta_nm = -Theta_mn), and the D_m commute.  The multinomial theorem gives
+Theta is constant, so (nu/2) B = sum_m d_m (x) D_m with the step operators
+D_m = sum_n (nu/2) Theta_mn d_n (Theta_nm = -Theta_mn), which commute.
+The multinomial theorem gives
 
-    B^s = sum_{|alpha| = s} (s!/alpha!) d^alpha (x) D^alpha
+    (nu/2)^s B^s = sum_{|alpha| = s} (s!/alpha!) d^alpha (x) D^alpha
 
 over derivative multi-indices alpha, so no state over pairs (alpha, beta)
-is needed.  Order s keeps a level, a list of (d^alpha f, D^alpha g, s!/alpha!)
-with the derivatives as rows (see `poly`): d^alpha f over the
-denominator of f, D^alpha g over that of g times L^s, where numeric Theta is
-scaled to ints by the lcm L of its denominators; formal Theta puts its
-monomials into the rows of D^alpha g.  Alpha grows only in directions at or
+is needed, and nu and the 1/2 are plain factors of one step table: a formal
+Theta_mn or nu goes into a step's monomial, numeric values into an int over
+den, the lcm of Theta's denominators times nu's denominator times 2.  Order
+s keeps a level, a list of (d^alpha f, D^alpha g, s!/alpha!) with the
+derivatives as rows (see `poly`): d^alpha f over the denominator of f,
+D^alpha g over that of g times den^s.  Alpha grows only in directions at or
 after its last one, so each alpha is reached once, from alpha - e_m with m
 its last direction: its rows are d_m d^alpha' f and D_m D^alpha' g and its
 multinomial (s-1)!/alpha'! times s/k, k the new exponent of m.  One rule
 decides a child: alpha + e_m exists iff d_m d^alpha f != 0 and
-D_m D^alpha g != 0, so the series ends by itself; nu = 0 and zero Theta
-are order cap 0.  Each order's sum is one row product per alpha, with
-s!/alpha! folded into the left rows; one scale per order, 1/(s! 2^s) over
-the denominators, times a numeric nu^s, is applied to each output term as
-it turns back into Quaternions.
+D_m D^alpha g != 0, so the series ends by itself; an empty table (zero
+Theta or nu = 0) is order cap 0.  Each order's sum is one row product per
+alpha, with s!/alpha! folded into the left rows; one scale per order, 1/s!
+over the rows' denominators, is applied to each output term as it turns
+back into Quaternions.
 
 One walk serves both row formats, chosen per call by one rule: signed-unit
 rows iff every coefficient of f and of g has exactly one nonzero component
@@ -45,8 +47,8 @@ rows iff every coefficient of f and of g has exactly one nonzero component
 signed-unit row product is one int multiply placed by the unit table, an
 integer row product sixteen; signed-unit rows also form order 0, which
 integer rows leave to f * g on Quaternions.  Star code does no arithmetic
-on packed monomials; each Theta and nu^s shift goes through a guarded
-partial or conversion.
+on packed monomials: a step's Theta and nu join through `mono_mul`, and the
+partials that carry them into D^alpha g guard every exponent they raise.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from math import factorial, lcm
 
 from .errors import DomainError
 from .poly import (NU, PAIRS, VAR_INDEX, ZERO_MONO, QPolynomial, add_partial_rows,
-                   add_partial_unit_rows, add_rows, add_unit_rows, exact_rational, mul_rows,
-                   mul_unit_rows, var_mono)
+                   add_partial_unit_rows, add_rows, add_unit_rows, exact_rational, mono_mul,
+                   mul_rows, mul_unit_rows, var_mono)
 
 _PAIR_INDICES = {pair: (VAR_INDEX[pair[0]], VAR_INDEX[pair[1]]) for pair in PAIRS}
 _PAIR_THETA = {pair: VAR_INDEX["Theta_" + pair] for pair in PAIRS}
@@ -134,41 +136,42 @@ class StarConfig:
 DEFAULT_CONFIG = StarConfig()
 
 
-def _theta_steps(theta: ThetaSpec):
-    """(steps, den): steps[m] lists (n, theta_mono, signed value) for each
-    summand Theta_mn d_n of D_m, the values ints over den, zero pairs dropped:
-    the Theta_mn monomial and +-1 over 1 for formal Theta, the unit monomial
-    and +- the pair's value over the lcm of the values' denominators for
-    numeric Theta."""
+def _steps(theta: ThetaSpec, nu):
+    """(steps, den): steps[m] lists (n, mono, signed value) for each summand
+    (nu/2) Theta_mn d_n of D_m, the values ints over den, zero ones dropped.
+    A formal Theta_mn or nu goes into the monomial; numeric values make the
+    int, over den = the lcm of Theta's denominators times nu's denominator
+    times 2.  nu = 0 or zero Theta leaves the table empty."""
     formal = theta.is_formal()
-    den = 1 if formal else lcm(*(value.denominator for value in theta.values))
+    nu_mono, nu = (var_mono(NU), 1) if nu == "formal" else (ZERO_MONO, nu)
+    theta_den = 1 if formal else lcm(*(value.denominator for value in theta.values))
     steps = [[] for _ in range(4)]
     for pos, pair in enumerate(PAIRS):
         m, n = _PAIR_INDICES[pair]
         if formal:
-            theta_mono, value = var_mono(_PAIR_THETA[pair]), 1
-        elif theta.values[pos]:
-            theta_mono, value = ZERO_MONO, int(theta.values[pos] * den)
+            mono, value = mono_mul(var_mono(_PAIR_THETA[pair]), nu_mono), nu.numerator
         else:
-            continue
-        steps[m].append((n, theta_mono, value))
-        steps[n].append((m, theta_mono, -value))
-    return steps, den
+            mono, value = nu_mono, int(theta.values[pos] * theta_den) * nu.numerator
+        if value:
+            steps[m].append((n, mono, value))
+            steps[n].append((m, mono, -value))
+    return steps, 2 * theta_den * nu.denominator
 
 
 def _order_rows(f, g, theta, nu, max_order, first_order=0):
     """The term dict of sum nu^s C_s[f, g] over first_order <= s <=
-    max_order (None: until the series ends), with C_s the rows' sum
-    sum_alpha (s!/alpha!) (d^alpha f)(D^alpha g) times 1/(s! 2^s) over the
-    rows' denominator; a formal nu (nu == "formal") goes into the monomials.
+    max_order (None: until the series ends): order s is the rows' sum
+    sum_alpha (s!/alpha!) (d^alpha f)(D^alpha g), whose D^alpha g carry
+    (nu/2)^s and Theta from the step table, times 1/s! over the rows'
+    denominator.  An empty table (zero Theta or nu = 0) is order cap 0.
     Signed-unit rows serve iff every coefficient of f and g has one nonzero
     component; integer rows serve otherwise, with order 0 taken as f * g.
     The levels still step through the orders below `first_order`, but their
     rows are never multiplied out."""
-    steps, theta_den = _theta_steps(theta)
+    steps, den = _steps(theta, nu)
     if not any(steps):
         max_order = 0
-    formal, data = nu == "formal", {}
+    data = {}
     f_units = f.unit_rows()
     g_units = f_units and g.unit_rows()
     # Each format's partial, product, conversion back to Quaternion terms,
@@ -195,11 +198,7 @@ def _order_rows(f, g, theta, nu, max_order, first_order=0):
             acc = {}
             for df, dg, c, _, _ in level:
                 product(acc, df.items(), dg.items(), c)
-            scale = Fraction(1, (factorial(s) << s) * f_den * g_den * theta_den ** s)
-            if formal:
-                to_terms(data, acc.items(), scale, var_mono(NU, s))
-            else:
-                to_terms(data, acc.items(), scale * nu ** s)
+            to_terms(data, acc.items(), Fraction(1, factorial(s) * f_den * g_den * den ** s))
         if s == max_order:
             return data
         s += 1
@@ -211,8 +210,8 @@ def _order_rows(f, g, theta, nu, max_order, first_order=0):
                 if not df_m:
                     continue
                 dg_m = {}
-                for n, theta_mono, signed in steps[m]:
-                    partial(dg_m, dg, n, signed, theta_mono)
+                for n, mono, signed in steps[m]:
+                    partial(dg_m, dg, n, signed, mono)
                 dg_m = {key: row for key, row in dg_m.items() if row != cancelled}
                 if dg_m:
                     k_m = k + 1 if m == last else 1
@@ -224,8 +223,7 @@ def _order_rows(f, g, theta, nu, max_order, first_order=0):
 
 def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """The full (terminating) star product of f and g under `config`."""
-    return QPolynomial.from_terms(_order_rows(f, g, config.theta, config.nu,
-                                              0 if config.nu == 0 else config.order_cap))
+    return QPolynomial.from_terms(_order_rows(f, g, config.theta, config.nu, config.order_cap))
 
 
 def star_order_term(f: QPolynomial, g: QPolynomial, s: int,

@@ -7,8 +7,11 @@ printed claims the engine, the oracle and a hand derivation all refute,
 report a witnessed MISMATCH (README, "Refuted chain links").
 """
 
+import ast
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import quatstar.cli as cli
@@ -467,3 +470,20 @@ def test_criterion_8_cli_round_trip_and_exit_codes(
               "CLI round trip, exit codes 0/2/3/4/5, JSON report schema",
               detail="; ".join(problems))
     assert ok, problems
+
+
+def test_the_package_imports_only_the_standard_library():
+    """The runtime needs nothing beyond Python itself: every absolute import
+    in `src/quatstar` names a standard-library module."""
+    paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert len(paths) >= 9
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)

@@ -14,7 +14,7 @@ import quatstar.verify as verify
 from quatstar.expr import Call, evaluate_text, lower, parse_expression
 from quatstar.oracle import random_qpoly
 from quatstar.poly import QPolynomial
-from quatstar.quat import Quaternion
+from quatstar.quat import UNITS, Quaternion
 from quatstar.verify import (
     _arg_tuples,
     _point_witness,
@@ -364,3 +364,19 @@ def test_product_conjugation_is_refuted_and_reversed_holds(full_report):
     record = _record(full_report, "V1.product")
     assert (record.status, record.witness) == (
         MISMATCH, "q1 = i, q2 = j: conj(q1 q2) = -k, conj(q1) conj(q2) = k")
+
+
+def test_fn_assoc_reduces_to_unit_triples_on_central_monomials(full_report):
+    # Polynomial products are bilinear, so (f g) h = f (g h) for all f, g, h
+    # once it holds on e_u m1, e_v m2, e_w m3 for units e and monomials m.
+    # Monomials are central and multiply by adding exponents, so both sides
+    # are (e_u e_v e_w) m1 m2 m3, and V4.mul_assoc proves e_u e_v e_w
+    # independent of the bracketing.
+    rng = Random(43)
+    for u, v, w in itertools.product(UNITS, repeat=3):
+        for _ in range(3):
+            monos = [tuple(rng.randint(0, 3) for _ in range(11)) for _ in range(3)]
+            f, g, h = (QPolynomial({mono: unit}) for mono, unit in zip(monos, (u, v, w)))
+            expected = QPolynomial({tuple(map(sum, zip(*monos))): u * v * w})
+            assert (f * g) * h == f * (g * h) == expected, (u, v, w, monos)
+    assert _record(full_report, "V4.fn_assoc").status == MATCH
