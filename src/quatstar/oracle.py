@@ -17,8 +17,10 @@ It shares only primitives (`QPolynomial.gradient` and `*`, `add_term`,
 `mono_mul`, `var_mono`, `Quaternion.scale`) with the main engine, which sums
 over alpha alone, on integer rows, with multinomials s!/alpha! and
 derivatives D^alpha g that fold Theta, nu and 1/2 in.  The oracle keeps the
-plain d^beta g, holds Theta in the weights and finds every multiplicity by
-merging the pairs B reaches, so agreement between the routes is meaningful.
+plain d^beta g, holds Theta and a formal nu in the weights and finds every
+multiplicity by merging the pairs B reaches, so agreement between the
+routes is meaningful.  A formal nu rides in each summand's monomial, so its
+exponent is guarded on every term an order forms, as the engine's is.
 
 The same module hosts the seeded random generators used by the fuzz
 harness and the randomized identity checks: rational values have
@@ -36,10 +38,11 @@ from .quat import Quaternion
 from .star import PAIRS, StarConfig, ThetaSpec, DEFAULT_CONFIG, pair_indices
 
 
-def _signed_steps(theta: ThetaSpec):
-    """The summands d_m (x) d_n of the exponent as (m, n, Theta monomial,
-    signed weight).  Formal Theta gives the Theta_mn monomial and weight +-1,
-    numeric Theta the unit monomial and +- the pair's value; zero pairs drop."""
+def _signed_steps(theta: ThetaSpec, nu_mono: int):
+    """The summands d_m (x) d_n of the exponent as (m, n, monomial, signed
+    weight).  Formal Theta gives the Theta_mn monomial and weight +-1,
+    numeric Theta the unit monomial and +- the pair's value; zero pairs drop.
+    Every monomial carries `nu_mono`, a formal nu's factor."""
     steps = []
     for pos, pair in enumerate(PAIRS):
         m, n = pair_indices(pair)
@@ -49,22 +52,23 @@ def _signed_steps(theta: ThetaSpec):
             mono, weight = ZERO_MONO, theta.values[pos]
             if not weight:
                 continue
+        mono = mono_mul(mono, nu_mono)
         steps += [(m, n, mono, weight), (n, m, mono, -weight)]
     return steps
 
 
-def _order_sums(f, g, theta, cap):
+def _order_sums(f, g, theta, cap, nu_mono=ZERO_MONO):
     """Raw sums of B^s(f (x) g) as term dicts; sums[s - 1] holds order s.
 
     An order maps (alpha, beta), packed monomials in a..d, to (d^alpha f,
-    d^beta g, weight), the weight a Theta monomial -> rational dict.  B adds
-    each pair's weight, times a summand's, into (alpha + e_m, beta + e_n)
+    d^beta g, weight), the weight a (nu, Theta) monomial -> rational dict.
+    B adds each pair's weight, times a summand's, into (alpha + e_m, beta + e_n)
     when d_m d^alpha f and d_n d^beta g are nonzero; a cancelled weight drops.
     Each distinct derivative's gradient is taken once per order, a right one
     only for a pair with a nonzero left gradient.  The list ends at the first
     order with no pair, or at `cap` when it is not None."""
     sums = []
-    steps = _signed_steps(theta)
+    steps = _signed_steps(theta, nu_mono)
     if cap == 0 or not steps:
         return sums
     level = {(ZERO_MONO, ZERO_MONO): (f, g, {ZERO_MONO: 1})}
@@ -99,15 +103,16 @@ def _order_sums(f, g, theta, cap):
 def star_oracle(f: QPolynomial, g: QPolynomial,
                 config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """The star product summed from the series definition: each order's
-    raw sum is weighted once by (nu/2)^s / s!, a formal nu^s as a shift."""
+    raw sum is weighted once by (nu/2)^s / s!, a formal nu^s already in the
+    sum from the steps' monomials."""
     formal = config.nu == "formal"
-    sums = _order_sums(f, g, config.theta, config.order_cap if formal or config.nu else 0)
+    sums = _order_sums(f, g, config.theta, config.order_cap if formal or config.nu else 0,
+                       var_mono(NU) if formal else ZERO_MONO)
     data = dict((f * g).items())
     for s, raw in enumerate(sums, 1):
         weight = Fraction(1 if formal else config.nu ** s, factorial(s) * 2 ** s)
-        shift = var_mono(NU, s) if formal else ZERO_MONO
         for mono, coeff in raw.items():
-            add_term(data, mono_mul(mono, shift), coeff.scale(weight))
+            add_term(data, mono, coeff.scale(weight))
     return QPolynomial.from_terms(data)
 
 

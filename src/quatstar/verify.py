@@ -16,7 +16,13 @@ laws and V4.fn_assoc) use `Quaternion`/`QPolynomial` arithmetic alone and
 never reach the oracle.  An existential claim searches fixed candidates
 built from the source's own operands, screening each with the engine alone;
 MATCH means a witness was found, and only that witness is re-checked through
-both routes, so a search that ends in MISMATCH (V11.4) rests on the engine.
+both routes, so a search that ends in MISMATCH (V11.4) rests on the engine
+here; the test suite's third route re-derives a seeded sample of its
+candidates.
+
+The registry is data: each id maps to a `functools.partial` of a
+module-level record builder with the record's arguments, so a claim's texts
+and a search's candidates can be read off `.args` and `.keywords`.
 
 Chain equations are split into one record per consecutive pairwise
 equality (plus a head-equals-closed-form record per chain), so one wrong
@@ -130,21 +136,19 @@ def _poly_claim(rid, loc, lhs, rhs, claim=None, equal=True):
     """lhs = rhs, or lhs != rhs when not `equal`.  The engine value is lhs
     (its difference with rhs for an inequation); whenever the two sides
     differ a separating point is the witness."""
-    def build():
-        lv = _checked_eval(lhs)
-        rv = _checked_eval(rhs)
-        differ = lv != rv
-        relation = "=" if equal else "!="
-        record = IdentityRecord(rid, loc, claim or f"{lhs} {relation} {rhs}",
-                                (lv if equal else lv - rv).canonical_text(),
-                                MATCH if differ != equal else MISMATCH)
-        if differ:
-            record.witness = _point_witness(lv, rv, lhs, rhs)
-        elif not equal:
-            record.witness = (f"{lhs} and {rhs} are identical as polynomials; "
-                              f"the difference is 0 everywhere")
-        return record
-    return rid, build
+    lv = _checked_eval(lhs)
+    rv = _checked_eval(rhs)
+    differ = lv != rv
+    relation = "=" if equal else "!="
+    record = IdentityRecord(rid, loc, claim or f"{lhs} {relation} {rhs}",
+                            (lv if equal else lv - rv).canonical_text(),
+                            MATCH if differ != equal else MISMATCH)
+    if differ:
+        record.witness = _point_witness(lv, rv, lhs, rhs)
+    elif not equal:
+        record.witness = (f"{lhs} and {rhs} are identical as polynomials; "
+                          f"the difference is 0 everywhere")
+    return record
 
 
 def _exists_search(rid, loc, claim, candidates):
@@ -155,20 +159,18 @@ def _exists_search(rid, loc, claim, candidates):
     recorded as the inequation lhs != rhs through both routes, its witness
     prefixed by the candidate's description.
     """
-    def build():
-        for desc, lhs, rhs in candidates:
-            if evaluate_text(lhs) != evaluate_text(rhs):
-                record = _poly_claim(rid, loc, lhs, rhs, claim, equal=False)[1]()
-                record.witness = f"{desc}: {record.witness}"
-                return record
-        count = len(candidates)
-        return IdentityRecord(
-            rid, loc, claim,
-            f"both sides equal on all {count} candidate substitutions",
-            MISMATCH,
-            witness=(f"exhausted {count} candidate substitutions without "
-                     f"finding a separating one"))
-    return rid, build
+    for desc, lhs, rhs in candidates:
+        if evaluate_text(lhs) != evaluate_text(rhs):
+            record = _poly_claim(rid, loc, lhs, rhs, claim, equal=False)
+            record.witness = f"{desc}: {record.witness}"
+            return record
+    count = len(candidates)
+    return IdentityRecord(
+        rid, loc, claim,
+        f"both sides equal on all {count} candidate substitutions",
+        MISMATCH,
+        witness=(f"exhausted {count} candidate substitutions without "
+                 f"finding a separating one"))
 
 
 def _fmt_value(value) -> str:
@@ -201,33 +203,42 @@ def _arg_tuples(rid, arity, reals_only=False):
 def _quat_forall(rid, loc, claim, arity, check, reals_only=False):
     """Universal quaternion-level claim; `check(args)` returns None or a
     witness string."""
-    def build():
-        tuples = _arg_tuples(rid, arity, reals_only)
-        for args in tuples:
-            witness = check(args)
-            if witness is not None:
-                return IdentityRecord(rid, loc, claim,
-                                      "fails on a sampled argument tuple",
-                                      MISMATCH, witness)
-        return IdentityRecord(rid, loc, claim,
-                              f"holds on all {len(tuples)} sampled argument tuples",
-                              MATCH)
-    return rid, build
+    tuples = _arg_tuples(rid, arity, reals_only)
+    for args in tuples:
+        witness = check(args)
+        if witness is not None:
+            return IdentityRecord(rid, loc, claim, "fails on a sampled argument tuple",
+                                  MISMATCH, witness)
+    return IdentityRecord(rid, loc, claim,
+                          f"holds on all {len(tuples)} sampled argument tuples", MATCH)
 
 
 def _quat_exists(rid, loc, claim, arity, differ):
     """Existential quaternion-level claim; `differ(args)` returns a pair of
     unequal values (rendered into the witness) or None."""
-    def build():
-        for args in _arg_tuples(rid, arity):
-            outcome = differ(args)
-            if outcome is not None:
-                return IdentityRecord(rid, loc, claim, _fmt_value(outcome[1]), MATCH,
-                                      _tuple_witness(args, *outcome))
-        return IdentityRecord(rid, loc, claim,
-                              "no counterexample among sampled tuples", MISMATCH,
-                              witness="every sampled argument tuple satisfies equality")
-    return rid, build
+    for args in _arg_tuples(rid, arity):
+        outcome = differ(args)
+        if outcome is not None:
+            return IdentityRecord(rid, loc, claim, _fmt_value(outcome[1]), MATCH,
+                                  _tuple_witness(args, *outcome))
+    return IdentityRecord(rid, loc, claim,
+                          "no counterexample among sampled tuples", MISMATCH,
+                          witness="every sampled argument tuple satisfies equality")
+
+
+def _fn_assoc(rid, loc, claim):
+    """(f g) h = f (g h) on seeded random polynomial triples; the first
+    failing triple is both the engine value and the witness."""
+    rng = Random(_seed_for(rid))
+    trials = 30
+    for _ in range(trials):
+        f, g, h = (_oracle.random_qpoly(rng, max_position_degree=2, max_terms=3)
+                   for _ in range(3))
+        if (f * g) * h != f * (g * h):
+            witness = f"f = {f}, g = {g}, h = {h}"
+            return IdentityRecord(rid, loc, claim, witness, MISMATCH, witness)
+    return IdentityRecord(rid, loc, claim,
+                          f"holds on all {trials} random polynomial triples", MATCH)
 
 
 def _eq_check(lhs_fn, rhs_fn, lhs_label, rhs_label):
@@ -242,38 +253,34 @@ def _eq_check(lhs_fn, rhs_fn, lhs_label, rhs_label):
 
 @functools.cache
 def _registry() -> dict:
-    """Identity id -> record builder, in catalogue order."""
-    entries = []
+    """Identity id -> its record builder with the arguments bound, in
+    catalogue order."""
+    entries = {}
+
+    def add(builder, rid, *args, **kwargs):
+        entries[rid] = functools.partial(builder, rid, *args, **kwargs)
 
     # V1: conjugation rules, encoded as recorded (no product reversal).
-    entries.append(_quat_forall(
-        "V1.sum", "Eq. (3)", "conj(q1 + q2) = conj(q1) + conj(q2)", 2,
+    add(_quat_forall, "V1.sum", "Eq. (3)", "conj(q1 + q2) = conj(q1) + conj(q2)", 2,
         _eq_check(lambda x, y: (x + y).conj(), lambda x, y: x.conj() + y.conj(),
-                  "conj(q1 + q2)", "conj(q1) + conj(q2)")))
-    entries.append(_quat_forall(
-        "V1.product", "Eq. (3)", "conj(q1 q2) = conj(q1) conj(q2)", 2,
+                  "conj(q1 + q2)", "conj(q1) + conj(q2)"))
+    add(_quat_forall, "V1.product", "Eq. (3)", "conj(q1 q2) = conj(q1) conj(q2)", 2,
         _eq_check(lambda x, y: (x * y).conj(), lambda x, y: x.conj() * y.conj(),
-                  "conj(q1 q2)", "conj(q1) conj(q2)")))
-    entries.append(_quat_forall(
-        "V1.involution", "Eq. (3)", "conj(conj(q1)) = q1", 1,
-        _eq_check(lambda x: x.conj().conj(), lambda x: x,
-                  "conj(conj(q1))", "q1")))
-    entries.append(_quat_forall(
-        "V1.real", "Eq. (3)", "conj(q1) = q1 for real q1", 1,
+                  "conj(q1 q2)", "conj(q1) conj(q2)"))
+    add(_quat_forall, "V1.involution", "Eq. (3)", "conj(conj(q1)) = q1", 1,
+        _eq_check(lambda x: x.conj().conj(), lambda x: x, "conj(conj(q1))", "q1"))
+    add(_quat_forall, "V1.real", "Eq. (3)", "conj(q1) = q1 for real q1", 1,
         _eq_check(lambda x: x.conj(), lambda x: x, "conj(q1)", "q1"),
-        reals_only=True))
+        reals_only=True)
 
     # V2: norm laws.
-    entries.append(_poly_claim("V2.norm_qqbar", "Eq. (4)",
-                               "q qbar", "a^2 + b^2 + c^2 + d^2",
-                               claim="|q|^2 = q qbar"))
-    entries.append(_poly_claim("V2.norm_qbarq", "Eq. (4)",
-                               "qbar q", "a^2 + b^2 + c^2 + d^2",
-                               claim="|q|^2 = qbar q"))
-    entries.append(_quat_forall(
-        "V2.norm_conj", "Eq. (4)", "|q1| = |conj(q1)|", 1,
+    add(_poly_claim, "V2.norm_qqbar", "Eq. (4)", "q qbar", "a^2 + b^2 + c^2 + d^2",
+        claim="|q|^2 = q qbar")
+    add(_poly_claim, "V2.norm_qbarq", "Eq. (4)", "qbar q", "a^2 + b^2 + c^2 + d^2",
+        claim="|q|^2 = qbar q")
+    add(_quat_forall, "V2.norm_conj", "Eq. (4)", "|q1| = |conj(q1)|", 1,
         _eq_check(lambda x: x.norm_sq(), lambda x: x.conj().norm_sq(),
-                  "|q1|^2", "|conj(q1)|^2")))
+                  "|q1|^2", "|conj(q1)|^2"))
 
     def triangle_check(args):
         x, y = args
@@ -283,19 +290,16 @@ def _registry() -> dict:
         return (f"q1 = {quat_text(x)}, q2 = {quat_text(y)}: "
                 f"|q1 + q2| exceeds |q1| + |q2|")
 
-    entries.append(_quat_forall(
-        "V2.triangle", "Eq. (4)", "|q1 + q2| <= |q1| + |q2|", 2, triangle_check))
-    entries.append(_quat_forall(
-        "V2.multiplicative", "Eq. (4)", "|q1 q2| = |q1| |q2|", 2,
+    add(_quat_forall, "V2.triangle", "Eq. (4)", "|q1 + q2| <= |q1| + |q2|", 2, triangle_check)
+    add(_quat_forall, "V2.multiplicative", "Eq. (4)", "|q1 q2| = |q1| |q2|", 2,
         _eq_check(lambda x, y: (x * y).norm_sq(),
                   lambda x, y: x.norm_sq() * y.norm_sq(),
-                  "|q1 q2|^2", "|q1|^2 |q2|^2")))
+                  "|q1 q2|^2", "|q1|^2 |q2|^2"))
 
     # V3: the inverse.
-    entries.append(_quat_forall(
-        "V3.unit", "Eq. (5)", "q1 conj(q1) / |q1|^2 = 1 (q1 != 0)", 1,
+    add(_quat_forall, "V3.unit", "Eq. (5)", "q1 conj(q1) / |q1|^2 = 1 (q1 != 0)", 1,
         _eq_check(lambda x: x * x.conj().scale(1 / x.norm_sq()),
-                  lambda x: ONE, "q1 conj(q1)/|q1|^2", "1")))
+                  lambda x: ONE, "q1 conj(q1)/|q1|^2", "1"))
 
     def inverse_check(args):
         (x,) = args
@@ -307,53 +311,33 @@ def _registry() -> dict:
         return (f"q1 = {quat_text(x)}: q1^-1 q1 = {quat_text(left)}, "
                 f"q1 q1^-1 = {quat_text(right)}")
 
-    entries.append(_quat_forall(
-        "V3.inverse", "Eq. (5)",
+    add(_quat_forall, "V3.inverse", "Eq. (5)",
         "q1^-1 = conj(q1)/|q1|^2 is a two-sided inverse (q1 != 0)", 1,
-        inverse_check))
+        inverse_check)
 
     # V4: algebra laws and (non)commutativity.
-    entries.append(_quat_forall(
-        "V4.add_comm", "Eq. (6)", "q1 + q2 = q2 + q1", 2,
+    add(_quat_forall, "V4.add_comm", "Eq. (6)", "q1 + q2 = q2 + q1", 2,
         _eq_check(lambda x, y: x + y, lambda x, y: y + x,
-                  "q1 + q2", "q2 + q1")))
-    entries.append(_quat_forall(
-        "V4.add_assoc", "Eq. (6)", "q1 + (q2 + q3) = (q1 + q2) + q3", 3,
+                  "q1 + q2", "q2 + q1"))
+    add(_quat_forall, "V4.add_assoc", "Eq. (6)", "q1 + (q2 + q3) = (q1 + q2) + q3", 3,
         _eq_check(lambda x, y, z: x + (y + z), lambda x, y, z: (x + y) + z,
-                  "q1 + (q2 + q3)", "(q1 + q2) + q3")))
-    entries.append(_quat_exists(
-        "V4.noncomm", "Eq. (6)", "q1 q2 != q2 q1 for some q1, q2", 2,
+                  "q1 + (q2 + q3)", "(q1 + q2) + q3"))
+    add(_quat_exists, "V4.noncomm", "Eq. (6)", "q1 q2 != q2 q1 for some q1, q2", 2,
         lambda args: None if args[0] * args[1] == args[1] * args[0]
-        else ("q1 q2", args[0] * args[1], "q2 q1", args[1] * args[0])))
-    entries.append(_quat_forall(
-        "V4.mul_assoc", "Eq. (6)", "q1 (q2 q3) = (q1 q2) q3", 3,
+        else ("q1 q2", args[0] * args[1], "q2 q1", args[1] * args[0]))
+    add(_quat_forall, "V4.mul_assoc", "Eq. (6)", "q1 (q2 q3) = (q1 q2) q3", 3,
         _eq_check(lambda x, y, z: x * (y * z), lambda x, y, z: (x * y) * z,
-                  "q1 (q2 q3)", "(q1 q2) q3")))
-    entries.append(_quat_forall(
-        "V4.distributive", "Eq. (6)", "q1 (q2 + q3) = q1 q2 + q1 q3", 3,
+                  "q1 (q2 q3)", "(q1 q2) q3"))
+    add(_quat_forall, "V4.distributive", "Eq. (6)", "q1 (q2 + q3) = q1 q2 + q1 q3", 3,
         _eq_check(lambda x, y, z: x * (y + z), lambda x, y, z: x * y + x * z,
-                  "q1 (q2 + q3)", "q1 q2 + q1 q3")))
+                  "q1 (q2 + q3)", "q1 q2 + q1 q3"))
 
     fn_pool = ("q", "qbar", "q^2", "i q", "j q", "i", "j")
-    entries.append(_exists_search(
-        "V4.fn_noncomm", "Eq. (7)", "f g != g f for some functions f, g",
+    add(_exists_search, "V4.fn_noncomm", "Eq. (7)", "f g != g f for some functions f, g",
         [(f"f = {f}, g = {g}", f"({f}) ({g})", f"({g}) ({f})")
-         for f, g in itertools.permutations(fn_pool, 2)]))
+         for f, g in itertools.permutations(fn_pool, 2)])
 
-    def fn_assoc_build():
-        rid, claim = "V4.fn_assoc", "(f g) h = f (g h) for functions f, g, h"
-        rng = Random(_seed_for(rid))
-        trials = 30
-        for _ in range(trials):
-            f, g, h = (_oracle.random_qpoly(rng, max_position_degree=2, max_terms=3)
-                       for _ in range(3))
-            if (f * g) * h != f * (g * h):
-                witness = f"f = {f}, g = {g}, h = {h}"
-                return IdentityRecord(rid, "Eq. (7)", claim, witness, MISMATCH, witness)
-        return IdentityRecord(rid, "Eq. (7)", claim,
-                              f"holds on all {trials} random polynomial triples", MATCH)
-
-    entries.append(("V4.fn_assoc", fn_assoc_build))
+    add(_fn_assoc, "V4.fn_assoc", "Eq. (7)", "(f g) h = f (g h) for functions f, g, h")
 
     # V5: the bracket value table, one record per recorded entry.
     claimed_values = {
@@ -369,16 +353,13 @@ def _registry() -> dict:
     for (x, y), table in claimed_values.items():
         key = f"{x}{y}"
         for pair in PAIRS:
-            entries.append(_poly_claim(
-                f"V5.{key}_{pair}", "Eq. (14)",
-                f"pb_{pair}({x}, {y})", table[pair]))
+            add(_poly_claim, f"V5.{key}_{pair}", "Eq. (14)", f"pb_{pair}({x}, {y})", table[pair])
 
     # V6: the symplectic remark ("the pair of q and qbar ... shows the
     # symplectic structure"): {q,qbar}_mn = -{qbar,q}_mn.
     for pair in PAIRS:
-        entries.append(_poly_claim(
-            f"V6.{pair}", "Eq. (14), symplectic remark",
-            f"pb_{pair}(q, qbar)", f"-pb_{pair}(qbar, q)"))
+        add(_poly_claim, f"V6.{pair}", "Eq. (14), symplectic remark",
+            f"pb_{pair}(q, qbar)", f"-pb_{pair}(qbar, q)")
 
     # V7: three long chains, split into consecutive pairwise links plus
     # one head-equals-closed-form record per chain.
@@ -447,40 +428,30 @@ def _registry() -> dict:
     for pair, exprs in chains.items():
         loc = f"Eq. (15), {pair} chain"
         for idx in range(len(exprs) - 1):
-            entries.append(_poly_claim(f"V7.{pair}.{idx + 1}", loc,
-                                       exprs[idx], exprs[idx + 1]))
-        entries.append(_poly_claim(f"V7.{pair}.value", loc, exprs[0], exprs[-1]))
+            add(_poly_claim, f"V7.{pair}.{idx + 1}", loc, exprs[idx], exprs[idx + 1])
+        add(_poly_claim, f"V7.{pair}.value", loc, exprs[0], exprs[-1])
 
     # V8: the four basic star products.
-    entries.append(_poly_claim(
-        "V8.1", "Eq. (16)", "star(q, q)",
-        "q^2 + nu (k Theta_bc - j Theta_bd + i Theta_cd)"))
-    entries.append(_poly_claim(
-        "V8.2", "Eq. (16)", "star(q, qbar)",
-        "q qbar - nu (i Theta_ab + j Theta_ac + k Theta_ad)"))
-    entries.append(_poly_claim(
-        "V8.3", "Eq. (16)", "star(qbar, q)",
-        "qbar q + nu (i Theta_ab + j Theta_ac + k Theta_ad)"))
-    entries.append(_poly_claim(
-        "V8.4", "Eq. (16)", "star(qbar, qbar)",
-        "qbar^2 + nu (k Theta_bc - j Theta_bd + i Theta_cd)"))
+    add(_poly_claim, "V8.1", "Eq. (16)", "star(q, q)",
+        "q^2 + nu (k Theta_bc - j Theta_bd + i Theta_cd)")
+    add(_poly_claim, "V8.2", "Eq. (16)", "star(q, qbar)",
+        "q qbar - nu (i Theta_ab + j Theta_ac + k Theta_ad)")
+    add(_poly_claim, "V8.3", "Eq. (16)", "star(qbar, q)",
+        "qbar q + nu (i Theta_ab + j Theta_ac + k Theta_ad)")
+    add(_poly_claim, "V8.4", "Eq. (16)", "star(qbar, qbar)",
+        "qbar^2 + nu (k Theta_bc - j Theta_bd + i Theta_cd)")
 
     # V9: conjugation behavior of star products.
-    entries.append(_poly_claim(
-        "V9.1", "Eq. (17)", "conj(star(q, q))", "star(qbar, qbar)", equal=False))
-    entries.append(_poly_claim(
-        "V9.2", "Eq. (17)", "conj(star(q, qbar))", "star(qbar, q)"))
+    add(_poly_claim, "V9.1", "Eq. (17)", "conj(star(q, q))", "star(qbar, qbar)", equal=False)
+    add(_poly_claim, "V9.2", "Eq. (17)", "conj(star(q, qbar))", "star(qbar, q)")
     star_pool = ("q", "qbar", "q^2", "qbar^2")
-    entries.append(_exists_search(
-        "V9.3", "Eq. (17)", "star(f, g) != star(g, f) for some f, g",
+    add(_exists_search, "V9.3", "Eq. (17)", "star(f, g) != star(g, f) for some f, g",
         [(f"f = {f}, g = {g}", f"star({f}, {g})", f"star({g}, {f})")
-         for f, g in itertools.permutations(star_pool, 2)]))
-    entries.append(_exists_search(
-        "V9.4", "Eq. (17)",
+         for f, g in itertools.permutations(star_pool, 2)])
+    add(_exists_search, "V9.4", "Eq. (17)",
         "conj(star(f, g)) != star(conj(f), conj(g)) for some f, g",
-        [(f"f = {f}, g = {g}", f"conj(star({f}, {g}))",
-          f"star(conj({f}), conj({g}))")
-         for f, g in itertools.product(star_pool, repeat=2)]))
+        [(f"f = {f}, g = {g}", f"conj(star({f}, {g}))", f"star(conj({f}), conj({g}))")
+         for f, g in itertools.product(star_pool, repeat=2)])
 
     # V10: eight star expansions, encoded as recorded (including the
     # q^2 * qbar line's "j d" term), plus the q^2*q != q*q^2 observation.
@@ -527,20 +498,17 @@ def _registry() -> dict:
          " + Theta_bd (-2 j a + k b - i d) + Theta_cd (2 i a + k c - j d))"),
     ]
     for rid, lhs, rhs in eq18:
-        entries.append(_poly_claim(rid, "Eq. (18)", lhs, rhs))
-    entries.append(_poly_claim(
-        "V10.9", "Eq. (18), remark", "star(q^2, q)", "star(q, q^2)", equal=False))
+        add(_poly_claim, rid, "Eq. (18)", lhs, rhs)
+    add(_poly_claim, "V10.9", "Eq. (18), remark", "star(q^2, q)", "star(q, q^2)", equal=False)
 
     # V11: broken associativity, plus the Jacobi remark.
-    entries.append(_poly_claim("V11.1", "Eq. (19)", "assoc(q, q, q)", "0", equal=False))
-    entries.append(_poly_claim("V11.2", "Eq. (19)", "assoc(q, q, qbar)", "0", equal=False))
-    entries.append(_poly_claim("V11.3", "Eq. (19)", "assoc(q, qbar, q)", "0", equal=False))
+    add(_poly_claim, "V11.1", "Eq. (19)", "assoc(q, q, q)", "0", equal=False)
+    add(_poly_claim, "V11.2", "Eq. (19)", "assoc(q, q, qbar)", "0", equal=False)
+    add(_poly_claim, "V11.3", "Eq. (19)", "assoc(q, qbar, q)", "0", equal=False)
     assoc_pool = ("q", "qbar", "q^2", "i q", "j q")
-    entries.append(_exists_search(
-        "V11.4", "Eq. (19)",
-        "assoc(f, g, h) != 0 for some f, g, h",
+    add(_exists_search, "V11.4", "Eq. (19)", "assoc(f, g, h) != 0 for some f, g, h",
         [(f"f = {f}, g = {g}, h = {h}", f"assoc({f}, {g}, {h})", "0")
-         for f, g, h in itertools.product(assoc_pool, repeat=3)]))
+         for f, g, h in itertools.product(assoc_pool, repeat=3)])
     jacobi_pool = ("q", "qbar", "q^2", "i b", "j b c", "i c")
     jacobi_candidates = []
     for pair in PAIRS:
@@ -551,12 +519,11 @@ def _registry() -> dict:
                 f" + pb_{pair}({g}, pb_{pair}({h}, {f}))"
                 f" + pb_{pair}({h}, pb_{pair}({f}, {g}))",
                 "0"))
-    entries.append(_exists_search(
-        "V11.5", "remark after Eq. (15)",
+    add(_exists_search, "V11.5", "remark after Eq. (15)",
         "the Jacobi identity fails for some f, g, h and pair mn",
-        jacobi_candidates))
+        jacobi_candidates)
 
-    return dict(entries)
+    return entries
 
 
 # Expected record count per group; the test suite asserts this coverage.

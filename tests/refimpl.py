@@ -20,6 +20,11 @@ d_m1..d_ms f_u  d_n1..d_ns g_v.  The walk over those sequences runs on an
 explicit stack and ends a branch once its left or right multi-index kills
 every monomial of its operand; sequences with the same pair of multi-indices
 share one derivative product, weighted by their summed Theta polynomial.
+The walk takes its operands as quatstar polynomials or as component dicts.
+
+`text_parts` evaluates expression text on this route: it walks the syntax
+tree of quatstar's parser and does every sum, product, power, conjugate,
+bracket and star product (formal nu and Theta, no cap) on component dicts.
 """
 
 from fractions import Fraction
@@ -30,9 +35,12 @@ from operator import add
 from sympy import I, Matrix, Rational
 from sympy.algebras.quaternion import Quaternion as SympyQuaternion
 
+from quatstar.expr import BinOp, Call, Name, Neg, Num, Pow, parse_expression
+
 N_VARS = 11
 NU = 4
 PAIR_NAMES = ("ab", "ac", "ad", "bc", "bd", "cd")
+VARIABLE_NAMES = ("a", "b", "c", "d", "nu") + tuple("Theta_" + p for p in PAIR_NAMES)
 # Theta of the position pair PAIRS[p] is variable 5 + p.
 PAIRS = tuple(combinations(range(4), 2))
 ZERO = (0,) * N_VARS
@@ -168,7 +176,7 @@ def _level_sum(fs, gs, level):
 
 
 def _levels(f, g, theta, cap):
-    fs, gs = real_parts(f), real_parts(g)
+    fs, gs = (p if isinstance(p, tuple) else real_parts(p) for p in (f, g))
     return fs, gs, _sequence_weights(set().union(*fs), set().union(*gs), theta, cap)
 
 
@@ -206,3 +214,83 @@ def bracket_parts(f, g, pair):
     """{f,g}_mn: the unweighted order-1 sum with only Theta_mn = 1."""
     fs, gs, levels = _levels(f, g, {pair: 1}, 1)
     return _level_sum(fs, gs, levels[1]) if len(levels) > 1 else ({}, {}, {}, {})
+
+
+# --- expression text on this route ------------------------------------------
+
+def _atom_parts(ident):
+    if ident in ("q", "qbar"):
+        sign = 1 if ident == "q" else -1
+        return tuple({_unit(u): 1 if u == 0 else sign} for u in range(4))
+    if ident in ("i", "j", "k"):
+        return tuple({ZERO: 1} if u == " ijk".index(ident) else {} for u in range(4))
+    return ({_unit(VARIABLE_NAMES.index(ident)): 1}, {}, {}, {})
+
+
+def _combine(x, y, sign):
+    """x + sign y."""
+    out = tuple(dict(part) for part in x)
+    for part, other in zip(out, y):
+        for mono, c in other.items():
+            _add(part, mono, sign * c)
+    return out
+
+
+def _product(x, y):
+    out = ({}, {}, {}, {})
+    for u, xu in enumerate(x):
+        for v, yv in enumerate(y):
+            sign, w = UNITS[u][v]
+            for m1, c1 in xu.items():
+                for m2, c2 in yv.items():
+                    _add(out[w], _sum(m1, m2), sign * c1 * c2)
+    return out
+
+
+def _star(x, y):
+    return star_parts(star_series(x, y))
+
+
+def _node_parts(node, memo):
+    if node in memo:
+        return memo[node]
+    if isinstance(node, Num):
+        out = ({ZERO: node.value} if node.value else {}, {}, {}, {})
+    elif isinstance(node, Name):
+        out = _atom_parts(node.ident)
+    elif isinstance(node, Neg):
+        out = _combine(({}, {}, {}, {}), _node_parts(node.operand, memo), -1)
+    elif isinstance(node, BinOp):
+        x, y = _node_parts(node.left, memo), _node_parts(node.right, memo)
+        out = _product(x, y) if node.op == "*" else _combine(x, y, 1 if node.op == "+" else -1)
+    elif isinstance(node, Pow):
+        base, out = _node_parts(node.base, memo), ({ZERO: 1}, {}, {}, {})
+        for _ in range(node.exponent):
+            out = _product(out, base)
+    elif isinstance(node, Call):
+        args = [_node_parts(arg, memo) for arg in node.args]
+        if node.func == "conj":
+            out = (args[0][0],) + tuple({m: -c for m, c in part.items()} for part in args[0][1:])
+        elif node.func == "star":
+            out = _star(*args)
+        elif node.func == "comm":
+            out = _combine(_star(*args), _star(args[1], args[0]), -1)
+        elif node.func == "assoc":
+            x, y, z = args
+            out = _combine(_star(_star(x, y), z), _star(x, _star(y, z)), -1)
+        else:
+            out = bracket_parts(*args, node.func[3:])
+    else:
+        raise TypeError(f"unexpected node {node!r}")
+    memo[node] = out
+    return out
+
+
+def text_parts(text, memo):
+    """The four real components of expression text, evaluated on this route;
+    `memo` maps each syntax tree already evaluated to its components."""
+    return _node_parts(parse_expression(text), memo)
+
+
+def difference(x, y):
+    return _combine(x, y, -1)

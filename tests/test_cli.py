@@ -128,6 +128,15 @@ def test_oracle_backend_keeps_the_exponent_guard(capsys, flags, text):
     assert "exponent overflow" in err
 
 
+@pytest.mark.parametrize("backend", ["engine", "oracle"])
+def test_capped_order_that_cancels_still_overflows_on_both_backends(capsys, backend):
+    # Order 1 forms nu^1000001 terms that cancel; both routes guard them.
+    code, out, err = run_cli(capsys, "eval", "--backend", backend, "--order-cap", "1",
+                             "star(nu^500000 a b, nu^500000 a b)")
+    assert (code, out) == (3, "")
+    assert "exponent overflow" in err
+
+
 @pytest.mark.parametrize("text, expected", [("+".join(["a"] * 3000), "3000 a"),
                                             ("-".join(["a"] * 3000), "-2998 a"),
                                             (" ".join(["a"] * 3000), "a^3000")],

@@ -161,13 +161,15 @@ def test_star_with_zero_theta_or_zero_nu():
 
 @pytest.mark.parametrize("var", ["nu", "Theta_ab"])
 def test_parameter_exponents_are_guarded_on_every_term_the_walk_forms(var):
-    # nu and Theta both ride in the step table, so order 1 of f * f, with
-    # f = var^K a b, forms var^(2K + 1) terms before they cancel: K = 500,000
-    # overflows the exponent limit, and K = 499,999 is the oracle's product.
+    # nu and Theta both ride in the engine's step table and in the oracle's
+    # summand monomials, so order 1 of f * f, with f = var^K a b, forms
+    # var^(2K + 1) terms before they cancel: K = 500,000 overflows the
+    # exponent limit on both routes, and K = 499,999 agrees.
     a_b, config = QPolynomial.variable("a") * QPolynomial.variable("b"), StarConfig(order_cap=1)
     f = QPolynomial.variable(var) ** 500_000 * a_b
-    with pytest.raises(DomainError, match="exponent overflow"):
-        star(f, f, config)
+    for route in (star, star_oracle):
+        with pytest.raises(DomainError, match="exponent overflow"):
+            route(f, f, config)
     f = QPolynomial.variable(var) ** 499_999 * a_b
     assert star(f, f, config) == star_oracle(f, f, config)
 

@@ -1,5 +1,6 @@
 """The identity verifier: record statuses, reports, rendering, round trips."""
 
+import functools
 import itertools
 import json
 from pathlib import Path
@@ -86,6 +87,15 @@ def test_identity_ids_cover_registry():
         assert group in COVERAGE
 
 
+def test_registry_holds_module_level_builders_with_their_arguments():
+    builders = {verify._poly_claim, verify._exists_search, verify._quat_forall,
+                verify._quat_exists, verify._fn_assoc}
+    for rid, entry in verify._registry().items():
+        assert isinstance(entry, functools.partial) and entry.func in builders, rid
+        assert entry.args[0] == rid
+        assert getattr(verify, entry.func.__name__) is entry.func
+
+
 def test_individual_statuses(full_report):
     by_id = {record.id: record for record in full_report.records}
     for rid, status in EXPECTED_STATUS.items():
@@ -150,10 +160,9 @@ def test_inverse_claims_sample_no_zero_quaternion(rid):
 
 
 def test_quat_exists_without_a_counterexample_is_mismatch():
-    rid, build = _quat_exists("X.none", "nowhere", "q1 != q2 for some q1, q2", 2,
-                              lambda args: None)
-    record = build()
-    assert (record.id, record.status) == (rid, MISMATCH)
+    record = _quat_exists("X.none", "nowhere", "q1 != q2 for some q1, q2", 2,
+                          lambda args: None)
+    assert (record.id, record.status) == ("X.none", MISMATCH)
     assert record.engine_value == "no counterexample among sampled tuples"
     assert record.witness == "every sampled argument tuple satisfies equality"
 
@@ -184,22 +193,14 @@ def test_fn_assoc_mismatch_records_the_first_triple(monkeypatch):
     assert (record.status, record.engine_value, record.witness) == (MISMATCH, witness, witness)
 
 
-def test_v11_operands_lie_inside_the_associativity_proof(monkeypatch):
+def test_v11_operands_lie_inside_the_associativity_proof():
     """V11.1-V11.4 are MISMATCH because the star product is associative:
     every operand they pass to assoc has position degree <= 2, so
     test_star.py's test_associativity_through_position_degree_two, with
     trilinearity, covers each of their verdicts."""
-    texts = [run_identity(rid).claim_text.split(" != ")[0]
-             for rid in ("V11.1", "V11.2", "V11.3")]
-    screened = []
-
-    def capture(text, *args, **kwargs):
-        screened.append(text)
-        return evaluate_text(text, *args, **kwargs)
-
-    monkeypatch.setattr(verify, "evaluate_text", capture)
-    assert run_identity("V11.4").status == MISMATCH
-    texts += [text for text in screened if text != "0"]
+    registry = verify._registry()
+    texts = [registry[rid].args[2] for rid in ("V11.1", "V11.2", "V11.3")]
+    texts += [lhs for _, lhs, _ in registry["V11.4"].args[3]]
     assert len(texts) == 3 + 125
     degrees = set()
     for text in texts:
