@@ -22,14 +22,14 @@ A row is a (packed monomial, (n0, n1, n2, n3)) pair of ints, the term
 (n0 + n1 i + n2 j + n3 k) mono over a denominator the caller keeps.
 `mul_rows` sums row products with the Hamilton formula inlined on ints and
 no gcd, `add_partial_rows` sums k times a partial times a monomial, and
-`add_rows` turns sums back into reduced Quaternions once per term.  A
-signed-unit row is a (mono << 2 | unit, n) pair of ints, the term n e_unit
-mono (unit 0..3 for e = 1, i, j, k) over a denominator the caller keeps.
-`unit_rows()` converts terms straight to them, `mul_unit_rows` groups the
-right rows by unit and runs one loop of one int multiply per row pair for
-each unit pair (u, v), signed and placed by the unit table's e_u e_v,
-`add_partial_unit_rows` is `add_partial_rows` on them, and `add_unit_rows`
-turns each monomial's rows back into one reduced Quaternion.
+`add_rows`, over the caller's int denominator, is the one way back to
+reduced Quaternions, once per term.  A signed-unit row, an operand format
+only, is a (mono << 2 | unit, n) pair of ints, the term n e_unit mono (unit
+0..3 for e = 1, i, j, k) over a denominator the caller keeps.
+`unit_rows()` converts terms straight to them, `add_partial_unit_rows` is
+`add_partial_rows` on them, and `mul_unit_rows` adds one int multiply per
+row pair, signed by the unit table's e_u e_v = sign e_w, into component w
+of an integer row.
 Rows serve where an operand is reused across many products: the running
 power of a multi-term `__pow__` (integer rows) and the derivatives in the
 star kernel.  The star kernel takes signed-unit rows iff every coefficient
@@ -193,13 +193,13 @@ def add_partial_rows(acc: dict, rows: dict, idx: int, k: int, shift: int = ZERO_
             acc[mono] = (p0 + e * n0, p1 + e * n1, p2 + e * n2, p3 + e * n3)
 
 
-def add_rows(data: dict, rows, scale: Fraction) -> dict:
-    """Add each nonzero row times the nonzero rational `scale` into the
-    term dict `data` as a reduced Quaternion; returns `data`."""
-    p, q = scale.numerator, scale.denominator
+def add_rows(data: dict, rows, den: int) -> dict:
+    """Add each nonzero row over the positive int `den` into the term dict
+    `data` as a reduced Quaternion, the one way back from rows (both row
+    products write integer rows) to terms; returns `data`."""
     for mono, (n0, n1, n2, n3) in rows:
         if n0 or n1 or n2 or n3:
-            add_term(data, mono, _quat(n0 * p, n1 * p, n2 * p, n3 * p, q))
+            add_term(data, mono, _quat(n0, n1, n2, n3, den))
     return data
 
 
@@ -213,33 +213,33 @@ def _signed_unit(coeff: Quaternion):
     return u, ns[u]
 
 
-# _UNIT_STEPS[u][v] = (w - v, sign) for e_u e_v = sign e_w, read off the
-# quaternion product: a signed-unit product's key is the left monomial plus
-# the right row's key plus w - v, and its numerator is signed by `sign`.
-_UNIT_STEPS = tuple(tuple((w - v, sign) for v, y in enumerate(UNITS)
-                          for w, sign in [_signed_unit(x * y)]) for x in UNITS)
+# _UNIT_STEPS[u][v] = (w, sign) for e_u e_v = sign e_w, read off the
+# quaternion product.
+_UNIT_STEPS = tuple(tuple(_signed_unit(x * y) for y in UNITS) for x in UNITS)
 _UNIT_GUARD = _DEGREE_GUARD << 2
 
 
 def mul_unit_rows(acc: dict, left, right, c: int = 1) -> None:
     """Add c times the product of every left and right signed-unit row into
-    the signed-unit rows dict `acc` in place; entries that cancel stay in
-    `acc` as zeros.  The right rows are grouped by unit, so each (u, v) unit
-    pair runs one loop of one int multiply per row pair.  `left` and `right`
-    iterate over signed-unit rows, such as a dict's items()."""
+    the integer rows dict `acc` in place: acc[mono][w] += sign a b for
+    e_u e_v = sign e_w, into row lists this function makes; entries that
+    cancel stay as zeros.  Each (u, v) unit pair runs one loop over the
+    right rows of unit v.  `left` and `right` iterate over signed-unit rows."""
     groups = ([], [], [], [])
-    for row in right:
-        groups[row[0] & 3].append(row)
-    get, guard = acc.get, _UNIT_GUARD
-    for k1, a in left:
-        a *= c
-        for (step, sign), group in zip(_UNIT_STEPS[k1 & 3], groups):
-            base, sa = (k1 & ~3) + step, sign * a
-            for k2, b in group:
-                key = base + k2
-                if key >= guard:
-                    mono_mul(k1 >> 2, k2 >> 2)
-                acc[key] = get(key, 0) + sa * b
+    for key, b in right:
+        groups[key & 3].append((key >> 2, b))
+    get, guard = acc.get, _DEGREE_GUARD
+    for key, a in left:
+        m1, a = key >> 2, a * c
+        for (w, sign), group in zip(_UNIT_STEPS[key & 3], groups):
+            sa = sign * a
+            for m2, b in group:
+                mono = m1 + m2
+                if mono >= guard:
+                    mono_mul(m1, m2)
+                if (row := get(mono)) is None:
+                    acc[mono] = row = [0, 0, 0, 0]
+                row[w] += sa * b
 
 
 def add_partial_unit_rows(acc: dict, rows: dict, idx: int, k: int,
@@ -256,20 +256,6 @@ def add_partial_unit_rows(acc: dict, rows: dict, idx: int, k: int,
             if moved >= guard:
                 mono_mul(key >> 2, shift)
             acc[moved] = get(moved, 0) + e * k * n
-
-
-def add_unit_rows(data: dict, rows, scale: Fraction) -> dict:
-    """`add_rows` on signed-unit rows: the nonzero rows of each monomial
-    make one reduced Quaternion, times `scale`, added into the term dict
-    `data`; returns `data`."""
-    quads = {}
-    for key, n in rows:
-        if n:
-            mono = key >> 2
-            if (quad := quads.get(mono)) is None:
-                quads[mono] = quad = [0, 0, 0, 0]
-            quad[key & 3] = n
-    return add_rows(data, quads.items(), scale)
 
 
 def _coerce_coeff(value) -> Quaternion:
@@ -475,7 +461,7 @@ class QPolynomial:
                 power = [(m, c) for m, c in step.items() if any(c)]
             else:
                 power = rest
-        return QPolynomial.from_terms(add_rows({}, acc.items(), Fraction(1, den ** n)))
+        return QPolynomial.from_terms(add_rows({}, acc.items(), den ** n))
 
     def __eq__(self, other):
         if not isinstance(other, QPolynomial):

@@ -37,30 +37,30 @@ multinomial (s-1)!/alpha'! times s/k, k the new exponent of m.  One rule
 decides a child: alpha + e_m exists iff d_m d^alpha f != 0 and
 D_m D^alpha g != 0, so the series ends by itself; an empty table (zero
 Theta or nu = 0) is order cap 0.  Each order's sum is one row product per
-alpha, with s!/alpha! folded into the left rows; one scale per order, 1/s!
-over the rows' denominators, is applied to each output term as it turns
-back into Quaternions.
+alpha, with s!/alpha! folded into the left rows, into integer rows that
+`add_rows` turns back into Quaternions over one int denominator, s! times
+the rows' denominators.
 
-One walk serves both row formats, chosen per call by one rule: signed-unit
-rows iff every coefficient of f and of g has exactly one nonzero component
-(q^n, qbar^n, i q and their products all do), integer rows otherwise.  A
-signed-unit row product is one int multiply placed by the unit table, an
-integer row product sixteen; signed-unit rows also form order 0, which
-integer rows leave to f * g on Quaternions.  Star code does no arithmetic
-on packed monomials: a step's Theta and nu join through `mono_mul`, and the
-partials that carry them into D^alpha g guard every exponent they raise.
+One walk serves both operand formats, chosen per call by one rule:
+signed-unit rows iff every coefficient of f and of g has exactly one
+nonzero component (q^n, qbar^n, i q and their products all do), integer
+rows otherwise.  Both products write integer rows: a signed-unit row
+product is one int multiply placed by the unit table, an integer row
+product sixteen.  Signed-unit rows also form order 0, which integer rows
+leave to f * g on Quaternions.  Star code does no arithmetic on packed
+monomials: a step's Theta and nu join through `mono_mul`, and the partials
+that carry them into D^alpha g guard every exponent they raise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import DomainError
 from .poly import (NU, PAIRS, VAR_INDEX, ZERO_MONO, QPolynomial, add_partial_rows,
-                   add_partial_unit_rows, add_rows, add_unit_rows, exact_rational, mono_mul,
-                   mul_rows, mul_unit_rows, var_mono)
+                   add_partial_unit_rows, add_rows, exact_rational, mono_mul, mul_rows,
+                   mul_unit_rows, var_mono)
 
 _PAIR_INDICES = {pair: (VAR_INDEX[pair[0]], VAR_INDEX[pair[1]]) for pair in PAIRS}
 _PAIR_THETA = {pair: VAR_INDEX["Theta_" + pair] for pair in PAIRS}
@@ -162,8 +162,8 @@ def _order_rows(f, g, theta, nu, max_order, first_order=0):
     """The term dict of sum nu^s C_s[f, g] over first_order <= s <=
     max_order (None: until the series ends): order s is the rows' sum
     sum_alpha (s!/alpha!) (d^alpha f)(D^alpha g), whose D^alpha g carry
-    (nu/2)^s and Theta from the step table, times 1/s! over the rows'
-    denominator.  An empty table (zero Theta or nu = 0) is order cap 0.
+    (nu/2)^s and Theta from the step table, over s! times the rows'
+    denominators.  An empty table (zero Theta or nu = 0) is order cap 0.
     Signed-unit rows serve iff every coefficient of f and g has one nonzero
     component; integer rows serve otherwise, with order 0 taken as f * g.
     The levels still step through the orders below `first_order`, but their
@@ -174,14 +174,13 @@ def _order_rows(f, g, theta, nu, max_order, first_order=0):
     data = {}
     f_units = f.unit_rows()
     g_units = f_units and g.unit_rows()
-    # Each format's partial, product, conversion back to Quaternion terms,
-    # and the entry that a sum which cancels leaves behind.
+    # Each format's partial, its product into integer rows, and the entry
+    # that a partial's sum which cancels leaves behind.
     if g_units:
         rows = f_units, g_units
-        partial, product, to_terms, cancelled = (add_partial_unit_rows, mul_unit_rows,
-                                                 add_unit_rows, 0)
+        partial, product, cancelled = add_partial_unit_rows, mul_unit_rows, 0
     else:
-        partial, product, to_terms, cancelled = add_partial_rows, mul_rows, add_rows, (0, 0, 0, 0)
+        partial, product, cancelled = add_partial_rows, mul_rows, (0, 0, 0, 0)
         if first_order == 0:
             data.update((f * g).items())
             first_order = 1
@@ -198,7 +197,7 @@ def _order_rows(f, g, theta, nu, max_order, first_order=0):
             acc = {}
             for df, dg, c, _, _ in level:
                 product(acc, df.items(), dg.items(), c)
-            to_terms(data, acc.items(), Fraction(1, factorial(s) * f_den * g_den * den ** s))
+            add_rows(data, acc.items(), factorial(s) * f_den * g_den * den ** s)
         if s == max_order:
             return data
         s += 1

@@ -491,3 +491,28 @@ def test_the_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def _unused_imports(source: str) -> list:
+    """The names that `source` imports and never reads, `__future__` aside."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_module_uses_the_names_it_imports():
+    """A deletion leaves no stale import behind: each module of
+    `src/quatstar` but `__init__.py`, which re-exports, uses every name it
+    imports."""
+    stale = "from fractions import Fraction\nfrom .poly import a, b\nb()\n"
+    assert _unused_imports(stale) == ["Fraction", "a"]
+    paths = [path for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"]
+    assert len(paths) >= 8
+    for path in paths:
+        assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name

@@ -13,9 +13,8 @@ from quatstar.errors import DomainError
 from quatstar.expr import evaluate_text
 from quatstar.oracle import random_qpoly, random_quaternion
 from quatstar.poly import (EXPONENT_LIMIT, NU as NU_INDEX, QPolynomial, VARIABLES, ZERO_MONO,
-                           add_partial_rows, add_partial_unit_rows, add_rows, add_unit_rows,
-                           gen_q, gen_qbar, mono_text, mul_rows, mul_unit_rows, var_index,
-                           var_mono)
+                           add_partial_rows, add_partial_unit_rows, add_rows, gen_q, gen_qbar,
+                           mono_text, mul_rows, mul_unit_rows, var_index, var_mono)
 from quatstar.quat import GROUP_ELEMENTS, I, J, K, ONE, Quaternion
 from quatstar.star import PAIRS, pair_indices, star
 from test_golden import CENTRAL_REALS, central_bases, with_real
@@ -143,7 +142,7 @@ def _row_product(x, y):
     (rx, dx), (ry, dy) = QPolynomial.constant(x).rows(), QPolynomial.constant(y).rows()
     acc = {}
     mul_rows(acc, rx.items(), ry.items())
-    data = add_rows({}, acc.items(), Fraction(1, dx * dy))
+    data = add_rows({}, acc.items(), dx * dy)
     return data.get(ZERO_MONO, Quaternion())
 
 
@@ -269,7 +268,7 @@ def test_partial_rows_equal_shifted_scaled_partials():
             for k, shift, factor in factors:
                 acc = {}
                 add_partial_rows(acc, rows, idx, k, shift)
-                result = add_rows({}, acc.items(), Fraction(1, den))
+                result = add_rows({}, acc.items(), den)
                 assert QPolynomial.from_terms(result) == p.partial(idx) * factor
     at_limit = QPolynomial({_mono(b=1, Theta_ab=EXPONENT_LIMIT): 1})
     with pytest.raises(DomainError, match="exponent overflow"):
@@ -291,11 +290,20 @@ def _unit_split(rows):
     return {m << 2 | u: n for m, row in rows.items() for u, n in enumerate(row) if n}
 
 
+def _nonzero(rows):
+    """The entries of an integer rows dict that are not all zero, as tuples."""
+    return {m: tuple(row) for m, row in rows.items() if any(row)}
+
+
+# The signed-unit row of the real unit 1: unit 0 at the unit monomial.
+_REAL_UNIT_ROW = [(ZERO_MONO << 2, 1)]
+
+
 def test_signed_unit_kernel_equals_the_row_kernel():
-    """On rows of 1-4 components per term, the signed-unit product, partial
-    and conversion give the polynomials that `mul_rows`, `add_partial_rows`
-    and `add_rows` give, sums that cancel included: a sum that cancels stays
-    as a zero entry and converts to no term."""
+    """On rows of 1-4 components per term, the signed-unit product writes,
+    entry by entry, the integer rows that `mul_rows` writes, and a
+    signed-unit partial times the real unit row is the integer partial that
+    `add_partial_rows` writes.  A sum that cancels leaves only zero entries."""
     rng = Random(19)
     theta_ab = var_mono(var_index("Theta_ab"))
     factors = ((1, ZERO_MONO, QPolynomial.constant(1)),
@@ -307,30 +315,31 @@ def test_signed_unit_kernel_equals_the_row_kernel():
         p_units, r_units = _unit_split(p_rows), _unit_split(r_rows)
         single = all(len(_unit_split({0: row})) == 1 for row in p_rows.values())
         assert p.unit_rows() == ((p_units, p_den) if single else None)
-        assert QPolynomial.from_terms(add_unit_rows({}, p_units.items(), Fraction(1, p_den))) == p
+        as_rows = {}
+        mul_unit_rows(as_rows, p_units.items(), _REAL_UNIT_ROW)
+        assert _nonzero(as_rows) == p_rows
         for c in (1, 3):
             by_rows, by_units = {}, {}
             mul_rows(by_rows, p_rows.items(), r_rows.items(), c)
             mul_unit_rows(by_units, p_units.items(), r_units.items(), c)
-            scale = Fraction(1, p_den * r_den)
-            product = QPolynomial.from_terms(add_rows({}, by_rows.items(), scale))
+            assert _nonzero(by_units) == _nonzero(by_rows)
+            product = QPolynomial.from_terms(add_rows({}, by_units.items(), p_den * r_den))
             assert product == p * r * c
-            assert QPolynomial.from_terms(add_unit_rows({}, by_units.items(), scale)) == product
             mul_rows(by_rows, p_rows.items(), r_rows.items(), -c)
             mul_unit_rows(by_units, p_units.items(), r_units.items(), -c)
-            assert set(by_units.values()) <= {0} and add_unit_rows({}, by_units.items(), scale) == {}
-            assert add_rows({}, by_rows.items(), scale) == {}
+            assert by_units and not _nonzero(by_units) and not _nonzero(by_rows)
+            assert add_rows({}, by_units.items(), p_den * r_den) == {}
         for idx in range(4):
             for k, shift, factor in factors:
-                by_rows, by_units = {}, {}
+                by_rows, by_units, as_rows = {}, {}, {}
                 add_partial_rows(by_rows, p_rows, idx, k, shift)
                 add_partial_unit_rows(by_units, p_units, idx, k, shift)
-                scale = Fraction(1, p_den)
-                partial = QPolynomial.from_terms(add_rows({}, by_rows.items(), scale))
+                partial = QPolynomial.from_terms(add_rows({}, by_rows.items(), p_den))
                 assert partial == p.partial(idx) * factor
-                assert QPolynomial.from_terms(add_unit_rows({}, by_units.items(), scale)) == partial
+                mul_unit_rows(as_rows, by_units.items(), _REAL_UNIT_ROW)
+                assert _nonzero(as_rows) == _nonzero(by_rows)
                 add_partial_unit_rows(by_units, p_units, idx, -k, shift)
-                assert set(by_units.values()) <= {0} and add_unit_rows({}, by_units.items(), scale) == {}
+                assert set(by_units.values()) <= {0}
 
 
 def _overflow(run):

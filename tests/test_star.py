@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import quatstar.poly
+import quatstar.verify as verify
 from quatstar.errors import DomainError
 from quatstar.oracle import random_qpoly, star_oracle
 from quatstar.poly import POSITION_VARS, QPolynomial, gen_q, gen_qbar
@@ -222,6 +223,19 @@ def test_each_pair_runs_on_one_row_format(monkeypatch, f, g, other, config):
     monkeypatch.setattr(importlib.import_module("quatstar.star"), other, other_format)
     assert star(f, g, config) == expected
     assert [star_order_term(f, g, s, config) for s in range(3)] == expected_orders
+
+
+def test_every_catalogue_star_call_takes_signed_unit_rows(monkeypatch, full_report):
+    # Every star product the catalogue forms has one nonzero component per
+    # coefficient, so the integer-row product and partial are never reached
+    # and the report is the one the shared full run gave.
+    def integer_rows(*args):
+        raise AssertionError("a catalogue star call took integer rows")
+
+    star_module = importlib.import_module("quatstar.star")
+    monkeypatch.setattr(star_module, "mul_rows", integer_rows)
+    monkeypatch.setattr(star_module, "add_partial_rows", integer_rows)
+    assert verify.run_all().to_dict() == full_report.to_dict()
 
 
 def test_star_with_numeric_theta():
