@@ -32,9 +32,8 @@ from .errors import ParseError
 from .poly import PAIRS, QPolynomial, VARIABLES, gen_q, gen_qbar
 from . import oracle as _oracle
 from . import quat as _quat
-from .star import DEFAULT_CONFIG, StarConfig
-from .star import poisson_bracket as _engine_bracket
-from .star import star as _engine_star
+from .star import DEFAULT_CONFIG, StarConfig, associator as _engine_assoc, star as _engine_star
+from .star import poisson_bracket as _engine_bracket, star_commutator as _engine_comm
 
 # --- tokens -----------------------------------------------------------------
 
@@ -270,8 +269,11 @@ def lower(node, config: StarConfig = DEFAULT_CONFIG,
     """
     if backend == "engine":
         star_fn, bracket_fn = _engine_star, _engine_bracket
+        comm_fn, assoc_fn = _engine_comm, _engine_assoc
     elif backend == "oracle":
         star_fn, bracket_fn = _oracle.star_oracle, _oracle.poisson_bracket_oracle
+        comm_fn = lambda f, g, c: star_fn(f, g, c) - star_fn(g, f, c)
+        assoc_fn = lambda f, g, h, c: star_fn(star_fn(f, g, c), h, c) - star_fn(f, star_fn(g, h, c), c)
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -302,10 +304,9 @@ def lower(node, config: StarConfig = DEFAULT_CONFIG,
             if n.func == "star":
                 return star_fn(args[0], args[1], config)
             if n.func == "comm":
-                return star_fn(args[0], args[1], config) - star_fn(args[1], args[0], config)
+                return comm_fn(*args, config)
             if n.func == "assoc":
-                return (star_fn(star_fn(args[0], args[1], config), args[2], config)
-                        - star_fn(args[0], star_fn(args[1], args[2], config), config))
+                return assoc_fn(*args, config)
             # pb_mn
             return bracket_fn(args[0], args[1], n.func[3:])
         raise TypeError(f"unexpected node {n!r}")

@@ -83,6 +83,7 @@ _DEGREE_SHIFT = _FIELD_BITS * N_VARS
 _DEGREE_GUARD = (EXPONENT_LIMIT + 1) << _DEGREE_SHIFT
 _UNITS = tuple((1 << _DEGREE_SHIFT) | (1 << shift) for shift in _SHIFTS)
 _POSITION_FIELDS = tuple(zip(range(4), _SHIFTS[:4], _UNITS[:4]))
+_PARAMETER_FIELDS = (1 << _SHIFTS[3]) - 1  # the nu and Theta fields
 _OVERFLOW = f"exponent overflow: monomial exponent exceeds {EXPONENT_LIMIT}"
 ZERO_MONO = 0
 
@@ -336,10 +337,15 @@ class QPolynomial:
         return max(self._terms) >> _DEGREE_SHIFT
 
     def position_degree(self) -> int:
-        """Degree in the position variables a..d alone (-1 for the zero polynomial)."""
+        """Degree in the position variables a..d alone (-1 for the zero polynomial),
+        read off the highest monomial, with no pass, when it has no nu or Theta."""
         if not self._terms:
             return -1
-        return max(sum(m >> shift & _FIELD_MASK for shift in _SHIFTS[:4]) for m in self._terms)
+        if not (top := max(self._terms)) & _PARAMETER_FIELDS:
+            return top >> _DEGREE_SHIFT
+        a, b, c, d = _SHIFTS[:4]
+        return max((m >> a & _FIELD_MASK) + (m >> b & _FIELD_MASK) + (m >> c & _FIELD_MASK)
+                   + (m >> d & _FIELD_MASK) for m in self._terms)
 
     def nu_degree(self) -> int:
         if not self._terms:

@@ -28,21 +28,25 @@ over derivative multi-indices alpha, so no state over pairs (alpha, beta)
 is needed, and nu and the 1/2 are plain factors of one step table: a formal
 Theta_mn or nu goes into a step's monomial, numeric values into an int over
 den, the lcm of Theta's denominators times nu's denominator times 2.  Order
-s keeps a level, a list of (d^alpha f, D^alpha g, s!/alpha!) with the
-derivatives as rows (see `poly`): d^alpha f over the denominator of f,
-D^alpha g over that of g times den^s.  Alpha grows only in directions at or
-after its last one, so each alpha is reached once, from alpha - e_m with m
-its last direction: its rows are d_m d^alpha' f and D_m D^alpha' g and its
-multinomial (s-1)!/alpha'! times s/k, k the new exponent of m.  One rule
-decides a child: alpha + e_m exists iff d_m d^alpha f != 0 and
-D_m D^alpha g != 0, so the series ends by itself; an empty table (zero
-Theta or nu = 0) is order cap 0.  Each order's sum is one row product per
-alpha, with s!/alpha! folded into the left rows, into integer rows that
-`add_rows` turns back into Quaternions over one int denominator, s! times
-the rows' denominators.
+s keeps a level, a list of (d^alpha f, D^alpha g, c) with the derivatives
+as rows (see `poly`): d^alpha f over the denominator of f, D^alpha g over
+that of g times den^s.  The whole series lies over one denominator, top!
+den^top times the rows' denominators, top a bound on its last order (the
+cap, or the smaller position degree), so c is the multinomial s!/alpha!
+times top!/s! den^(top - s).  Alpha grows only in directions at or after
+its last one, so each alpha is reached once, from alpha - e_m with m its
+last direction: its rows are d_m d^alpha' f and D_m D^alpha' g and its c
+that of alpha' over k den, k the new exponent of m.  One rule decides a
+child: alpha + e_m exists iff d_m d^alpha f != 0 and D_m D^alpha g != 0, so
+the series ends by itself; an empty table (zero Theta or nu = 0) is order
+cap 0.  Each alpha adds one row product, c folded into the left rows, to
+one accumulator of integer rows that `add_rows` turns back into Quaternions
+once.  A difference of two series (`star_commutator`, `associator`) walks
+both into one accumulator over the lcm of their denominators, so terms
+cancel as ints, across orders too (an associator's inner products carry nu).
 
 One walk serves both operand formats, chosen per call by one rule:
-signed-unit rows iff every coefficient of f and of g has exactly one
+signed-unit rows iff every coefficient of every operand has exactly one
 nonzero component (q^n, qbar^n, i q and their products all do), integer
 rows otherwise.  Both products write integer rows: a signed-unit row
 product is one int multiply placed by the unit table, an integer row
@@ -55,7 +59,10 @@ that carry them into D^alpha g guard every exponent they raise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, lcm
+from functools import reduce
+from itertools import takewhile
+from math import factorial, inf, lcm
+from operator import sub
 
 from .errors import DomainError
 from .poly import (NU, PAIRS, VAR_INDEX, ZERO_MONO, QPolynomial, add_partial_rows,
@@ -158,48 +165,22 @@ def _steps(theta: ThetaSpec, nu):
     return steps, 2 * theta_den * nu.denominator
 
 
-def _order_rows(f, g, theta, nu, max_order, first_order=0):
-    """The term dict of sum nu^s C_s[f, g] over first_order <= s <=
-    max_order (None: until the series ends): order s is the rows' sum
-    sum_alpha (s!/alpha!) (d^alpha f)(D^alpha g), whose D^alpha g carry
-    (nu/2)^s and Theta from the step table, over s! times the rows'
-    denominators.  An empty table (zero Theta or nu = 0) is order cap 0.
-    Signed-unit rows serve iff every coefficient of f and g has one nonzero
-    component; integer rows serve otherwise, with order 0 taken as f * g.
-    The levels still step through the orders below `first_order`, but their
-    rows are never multiplied out."""
-    steps, den = _steps(theta, nu)
-    if not any(steps):
-        max_order = 0
-    data = {}
-    f_units = f.unit_rows()
-    g_units = f_units and g.unit_rows()
-    # Each format's partial, its product into integer rows, and the entry
-    # that a partial's sum which cancels leaves behind.
-    if g_units:
-        rows = f_units, g_units
-        partial, product, cancelled = add_partial_unit_rows, mul_unit_rows, 0
-    else:
-        partial, product, cancelled = add_partial_rows, mul_rows, (0, 0, 0, 0)
-        if first_order == 0:
-            data.update((f * g).items())
-            first_order = 1
-        if max_order == 0:
-            return data
-        rows = f.rows(), g.rows()
-    (f_rows, f_den), (g_rows, g_den) = rows
-    # An entry per alpha: (rows of d^alpha f, rows of D^alpha g, s!/alpha!,
-    # the last direction m of alpha, alpha_m); alpha = 0 has none, so m = 0.
-    level = [(f_rows, g_rows, 1, 0, 0)]
+def _walk(acc, kernel, steps, den, f_rows, g_rows, c, top, first_order):
+    """Add to the integer rows `acc` c/(alpha! den^s) times (d^alpha f)(D^alpha
+    g) for every alpha of order first_order <= s <= top; top! den^top divides c.
+    `kernel` is the rows' format: its partial, its product into integer rows,
+    and the entry that a partial's sum which cancels leaves behind."""
+    partial, product, cancelled = kernel
+    # An entry per alpha: (rows of d^alpha f, rows of D^alpha g, its c, the
+    # last direction m of alpha, alpha_m); alpha = 0 has none, so m = 0.
+    level = [(f_rows, g_rows, c, 0, 0)]
     s = 0
     while True:
         if s >= first_order:
-            acc = {}
             for df, dg, c, _, _ in level:
                 product(acc, df.items(), dg.items(), c)
-            add_rows(data, acc.items(), factorial(s) * f_den * g_den * den ** s)
-        if s == max_order:
-            return data
+        if s == top:
+            return
         s += 1
         grown = []
         for df, dg, c, last, k in level:
@@ -214,15 +195,48 @@ def _order_rows(f, g, theta, nu, max_order, first_order=0):
                 dg_m = {key: row for key, row in dg_m.items() if row != cancelled}
                 if dg_m:
                     k_m = k + 1 if m == last else 1
-                    grown.append((df_m, dg_m, c * s // k_m, m, k_m))
+                    grown.append((df_m, dg_m, c // (k_m * den), m, k_m))
         level = grown
         if not level:
+            return
+
+
+def _order_rows(pairs, theta, nu, max_order, first_order=0):
+    """The term dict of sum nu^s C_s[f, g] over first_order <= s <= max_order
+    (None: until the series ends) for the first pair (f, g) of `pairs`, minus
+    that of the second pair if any.  An empty step table (zero Theta or nu =
+    0) is order cap 0.  Signed-unit rows serve iff every coefficient of every
+    operand has one nonzero component, integer rows otherwise, with order 0
+    as f * g.  Both series walk into one accumulator over the lcm of their
+    denominators, top! den^top times their rows', for one `add_rows` call."""
+    steps, den = _steps(theta, nu)
+    cap = 0 if not any(steps) else inf if max_order is None else max_order
+    data = {}
+    operands = [x for pair in pairs for x in pair]
+    rows = list(takewhile(bool, map(QPolynomial.unit_rows, operands)))
+    if len(rows) == len(operands):
+        kernel = add_partial_unit_rows, mul_unit_rows, 0
+    else:
+        kernel = add_partial_rows, mul_rows, (0, 0, 0, 0)
+        if first_order == 0:
+            data.update(reduce(sub, [f * g for f, g in pairs]).items())
+            first_order = 1
+        if cap == 0:
             return data
+        rows = [x.rows() for x in operands]
+    acc, walks = {}, []
+    for (f, g), (f_rows, f_den), (g_rows, g_den) in zip(pairs, rows[::2], rows[1::2]):
+        top = max(min(f.position_degree(), g.position_degree(), cap), 0)
+        walks.append((f_rows, g_rows, f_den * g_den, top))
+    total = lcm(*[factorial(top) * den ** top * d for _, _, d, top in walks])
+    for sign, (f_rows, g_rows, d, top) in zip((1, -1), walks):
+        _walk(acc, kernel, steps, den, f_rows, g_rows, sign * total // d, top, first_order)
+    return add_rows(data, acc.items(), total)
 
 
 def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """The full (terminating) star product of f and g under `config`."""
-    return QPolynomial.from_terms(_order_rows(f, g, config.theta, config.nu, config.order_cap))
+    return QPolynomial.from_terms(_order_rows([(f, g)], config.theta, config.nu, config.order_cap))
 
 
 def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
@@ -235,14 +249,20 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
     if ((config.order_cap is not None and s > config.order_cap)
             or s > min(f.position_degree(), g.position_degree())):
         return QPolynomial.zero()
-    return QPolynomial.from_terms(_order_rows(f, g, config.theta, 1, s, s))
+    return QPolynomial.from_terms(_order_rows([(f, g)], config.theta, 1, s, s))
 
 
 def star_commutator(f: QPolynomial, g: QPolynomial,
                     config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
-    return star(f, g, config) - star(g, f, config)
+    """f * g - g * f, both series walked into one accumulator, so their
+    terms cancel as ints before any Quaternion is built."""
+    return QPolynomial.from_terms(
+        _order_rows([(f, g), (g, f)], config.theta, config.nu, config.order_cap))
 
 
 def associator(f: QPolynomial, g: QPolynomial, h: QPolynomial,
                config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
-    return star(star(f, g, config), h, config) - star(f, star(g, h, config), config)
+    """(f * g) * h - f * (g * h): the inner products are stars, the outer
+    two series share one accumulator as in `star_commutator`."""
+    pairs = [(star(f, g, config), h), (f, star(g, h, config))]
+    return QPolynomial.from_terms(_order_rows(pairs, config.theta, config.nu, config.order_cap))

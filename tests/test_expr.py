@@ -1,5 +1,6 @@
 """Expression grammar: tokens, precedence, calls, errors, round trips."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,25 @@ def test_oracle_route_is_read_at_call_time(monkeypatch, capsys):
     assert capsys.readouterr().out == "nu\n"
     assert evaluate_text("star(q, q)") != marker
     assert evaluate_text("pb_ab(q, q)") != marker
+
+
+def test_oracle_route_takes_no_star_kernel(monkeypatch):
+    # The oracle route composes comm and assoc from star_oracle, so with the
+    # engine's row products and partials made to raise it still evaluates
+    # them, to the engine's values, while the engine route cannot.
+    texts = ("assoc(q, qbar, q^2)", "comm((1 + i) q, qbar)")
+    expected = [evaluate_text(text) for text in texts]
+
+    def kernel(*args):
+        raise AssertionError("an engine row kernel was reached")
+
+    star_module = importlib.import_module("quatstar.star")
+    for name in ("mul_rows", "mul_unit_rows", "add_partial_rows", "add_partial_unit_rows"):
+        monkeypatch.setattr(star_module, name, kernel)
+    assert [evaluate_text(text, backend="oracle") for text in texts] == expected
+    for text in texts:
+        with pytest.raises(AssertionError, match="row kernel"):
+            evaluate_text(text)
 
 
 def test_config_threads_through_calls():

@@ -407,6 +407,10 @@ def test_degrees():
     p = A * A * B + NU * C
     assert p.total_degree() == 3
     assert p.position_degree() == 3
+    # Read off the highest monomial when it is free of nu and Theta, else
+    # from every term.
+    assert (NU ** 9 * A + B * B).position_degree() == 2
+    assert (QPolynomial.variable("Theta_cd") ** 4 * A * B + C).position_degree() == 2
     assert p.nu_degree() == 1
     assert (A * B).nu_degree() == 0
     assert QPolynomial.zero().nu_degree() == -1

@@ -4,6 +4,7 @@ import ast
 import importlib
 import itertools
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 from random import Random
 
@@ -12,8 +13,9 @@ import pytest
 import quatstar.poly
 import quatstar.verify as verify
 from quatstar.errors import DomainError
+from quatstar.expr import evaluate_text
 from quatstar.oracle import random_qpoly, star_oracle
-from quatstar.poly import POSITION_VARS, QPolynomial, gen_q, gen_qbar
+from quatstar.poly import POSITION_VARS, QPolynomial, add_rows, gen_q, gen_qbar
 from quatstar.quat import UNITS, I, J, K, Quaternion
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec,
                            associator, pair_indices, poisson_bracket, star,
@@ -285,6 +287,77 @@ def test_associator_vanishes():
         g = random_qpoly(rng, max_position_degree=2, max_terms=3)
         h = random_qpoly(rng, max_position_degree=2, max_terms=3)
         assert associator(f, g, h).is_zero()
+
+
+# Operand triples as expression text: a dense operand among one-component
+# ones (integer rows), either way round; one-component operands over
+# different denominators, whose outer associator products stop at orders 2
+# and 1, so the two series lie over different denominators; and the V11.4
+# shape.
+DIFFERENCE_TRIPLES = [("(1 + 1/3 i + 2 k) q + qbar", "q", "qbar^2"),
+                      ("q", "(1 + i) q qbar", "1/2 qbar"),
+                      ("1/2 q", "qbar", "1/3 q^2"),
+                      ("q", "qbar", "q^2")]
+
+
+@pytest.mark.parametrize("config", [
+    StarConfig(), StarConfig(theta=ThetaSpec.numeric({"ab": 1, "bc": Fraction(3, 2), "cd": -2}),
+                             nu=Fraction(1, 3)),
+    StarConfig(nu=Fraction(-2, 5)), StarConfig(nu=0),
+    StarConfig(order_cap=0), StarConfig(order_cap=1), StarConfig(order_cap=2)],
+                         ids=["formal", "numeric", "numeric-nu", "nu-0", "cap-0", "cap-1", "cap-2"])
+def test_differences_equal_their_materialised_form(config):
+    # star_commutator and associator walk both series into one accumulator;
+    # the result is the difference of the star products, and `comm` and
+    # `assoc` in expression text are these two functions.
+    sizes = []
+    for texts in DIFFERENCE_TRIPLES:
+        f, g, h = map(evaluate_text, texts)
+        comm = star_commutator(f, g, config)
+        assert comm == star(f, g, config) - star(g, f, config)
+        assert evaluate_text("comm({}, {})".format(*texts[:2]), config) == comm
+        assoc = associator(f, g, h, config)
+        assert assoc == star(star(f, g, config), h, config) - star(f, star(g, h, config), config)
+        assert evaluate_text("assoc({}, {}, {})".format(*texts), config) == assoc
+        sizes.append((len(comm), len(assoc)))
+    # Under every config some commutator is nonzero, and the series cut
+    # after order 1 is not associative, so nonzero differences are compared.
+    assert any(c for c, _ in sizes) and (config.order_cap != 1 or any(a for _, a in sizes))
+
+
+def test_differences_cancel_as_ints(monkeypatch):
+    # Both sides of star_commutator(q, q), and the outer products of an
+    # associator of one-component operands, cancel in the accumulator:
+    # add_rows is handed only zero rows for them.
+    handed = []
+
+    def spy(data, rows, den):
+        handed.append(list(rows))
+        return add_rows(data, handed[-1], den)
+
+    monkeypatch.setattr(importlib.import_module("quatstar.star"), "add_rows", spy)
+    assert star_commutator(Q, Q).is_zero()
+    assert len(handed) == 1 and handed[0] and not any(any(row) for _, row in handed[0])
+    handed.clear()
+    assert associator(Q, QBAR, Q * Q).is_zero()
+    # The inner products star(q, qbar) and star(qbar, q^2) convert their
+    # nonzero orders first; the difference's one call comes last.
+    assert any(any(row) for _, row in handed[0])
+    assert handed[-1] and not any(any(row) for _, row in handed[-1])
+
+
+def test_series_denominators_stop_at_the_series_end(monkeypatch):
+    # nu and Theta powers raise the total degree but not the last order of
+    # the series, so no denominator s! den^s is formed past that order, on
+    # a star product or on a difference.
+    tops = []
+    monkeypatch.setattr(importlib.import_module("quatstar.star"), "factorial",
+                        lambda n: tops.append(n) or factorial(n))
+    nu = QPolynomial.variable("nu") ** 1000
+    f, g = nu * Q ** 3, QPolynomial.variable("Theta_ab") ** 1000 * QBAR ** 2
+    assert star(f, g) == star_oracle(f, g)
+    assert star_commutator(f, g) == star_oracle(f, g) - star_oracle(g, f)
+    assert max(tops) == 2
 
 
 def _position_monomials(max_degree):
