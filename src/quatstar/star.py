@@ -30,20 +30,21 @@ Theta_mn or nu goes into a step's monomial, numeric values into an int over
 den, the lcm of Theta's denominators times nu's denominator times 2.  Order
 s keeps a level, a list of (d^alpha f, D^alpha g, c) with the derivatives
 as rows (see `poly`): d^alpha f over the denominator of f, D^alpha g over
-that of g times den^s.  The whole series lies over one denominator, top!
-den^top times the rows' denominators, top a bound on its last order (the
-cap, or the smaller position degree), so c is the multinomial s!/alpha!
-times top!/s! den^(top - s).  Alpha grows only in directions at or after
-its last one, so each alpha is reached once, from alpha - e_m with m its
-last direction: its rows are d_m d^alpha' f and D_m D^alpha' g and its c
-that of alpha' over k den, k the new exponent of m.  One rule decides a
-child: alpha + e_m exists iff d_m d^alpha f != 0 and D_m D^alpha g != 0, so
-the series ends by itself; an empty table (zero Theta or nu = 0) is order
-cap 0.  Each alpha adds one row product, c folded into the left rows, to
-one accumulator of integer rows that `add_rows` turns back into Quaternions
-once.  A difference of two series (`star_commutator`, `associator`) walks
-both into one accumulator over the lcm of their denominators, so terms
-cancel as ints, across orders too (an associator's inner products carry nu).
+that of g times den^s.  One bound top on the last order is decided per
+expression before any row is formed: the cap (0 for an empty table, from
+zero Theta or nu = 0), else the larger over its pairs of the smaller
+position degree.  At top 0 the expression is the point product f * g.
+Otherwise it lies over one denominator, top! den^top times the lcm of the
+rows' denominators, so c is s!/alpha! times top!/s! den^(top - s).  Alpha
+grows only in directions at or after its last one, so each alpha is reached
+once, from alpha - e_m with m its last direction: its rows are d_m d^alpha'
+f and D_m D^alpha' g and its c that of alpha' over k den, k the new
+exponent of m.  One rule decides a child: alpha + e_m exists iff d_m
+d^alpha f != 0 and D_m D^alpha g != 0, so a series may end before top.
+Each alpha adds one row product to one accumulator of integer rows that
+`add_rows` turns back into Quaternions once; both series of a difference
+(`star_commutator`, `associator`) walk in one level, so terms cancel as
+ints, across orders too (an associator's inner products carry nu).
 
 One walk serves both operand formats, chosen per call by one rule:
 signed-unit rows iff every coefficient of every operand has exactly one
@@ -165,15 +166,15 @@ def _steps(theta: ThetaSpec, nu):
     return steps, 2 * theta_den * nu.denominator
 
 
-def _walk(acc, kernel, steps, den, f_rows, g_rows, c, top, first_order):
+def _walk(acc, kernel, steps, den, level, top, first_order):
     """Add to the integer rows `acc` c/(alpha! den^s) times (d^alpha f)(D^alpha
-    g) for every alpha of order first_order <= s <= top; top! den^top divides c.
-    `kernel` is the rows' format: its partial, its product into integer rows,
-    and the entry that a partial's sum which cancels leaves behind."""
+    g) for every alpha of order first_order <= s <= top.  `level` starts with
+    one entry (f rows, g rows, c, 0, 0) per series, top! den^top dividing c;
+    an entry holds alpha's rows, its c, its last direction m and alpha_m.  A
+    series ends where its children are all zero, the walk at top or when its
+    level empties.  `kernel` is the rows' format: its partial, its product
+    into integer rows, and the entry a partial's sum that cancels leaves."""
     partial, product, cancelled = kernel
-    # An entry per alpha: (rows of d^alpha f, rows of D^alpha g, its c, the
-    # last direction m of alpha, alpha_m); alpha = 0 has none, so m = 0.
-    level = [(f_rows, g_rows, c, 0, 0)]
     s = 0
     while True:
         if s >= first_order:
@@ -204,33 +205,33 @@ def _walk(acc, kernel, steps, den, f_rows, g_rows, c, top, first_order):
 def _order_rows(pairs, theta, nu, max_order, first_order=0):
     """The term dict of sum nu^s C_s[f, g] over first_order <= s <= max_order
     (None: until the series ends) for the first pair (f, g) of `pairs`, minus
-    that of the second pair if any.  An empty step table (zero Theta or nu =
-    0) is order cap 0.  Signed-unit rows serve iff every coefficient of every
-    operand has one nonzero component, integer rows otherwise, with order 0
-    as f * g.  Both series walk into one accumulator over the lcm of their
-    denominators, top! den^top times their rows', for one `add_rows` call."""
+    that of the second pair if any.  Its bound `top` is decided before any row
+    is formed: the cap (0 for an empty step table), else the larger over the
+    pairs of the smaller position degree.  Past top it is zero, at top 0 the
+    point product.  Otherwise one row format serves every operand (see the
+    module), and both series walk in one level into one accumulator."""
     steps, den = _steps(theta, nu)
     cap = 0 if not any(steps) else inf if max_order is None else max_order
-    data = {}
+    top = min(cap, max(min(f.position_degree(), g.position_degree()) for f, g in pairs))
+    if first_order > top:
+        return {}
+    if top == 0:
+        return dict(reduce(sub, [f * g for f, g in pairs]).items())
     operands = [x for pair in pairs for x in pair]
     rows = list(takewhile(bool, map(QPolynomial.unit_rows, operands)))
     if len(rows) == len(operands):
-        kernel = add_partial_unit_rows, mul_unit_rows, 0
+        kernel, data = (add_partial_unit_rows, mul_unit_rows, 0), {}
     else:
         kernel = add_partial_rows, mul_rows, (0, 0, 0, 0)
-        if first_order == 0:
-            data.update(reduce(sub, [f * g for f, g in pairs]).items())
-            first_order = 1
-        if cap == 0:
-            return data
+        data = dict(reduce(sub, [f * g for f, g in pairs]).items()) if first_order == 0 else {}
+        first_order = max(first_order, 1)
         rows = [x.rows() for x in operands]
-    acc, walks = {}, []
-    for (f, g), (f_rows, f_den), (g_rows, g_den) in zip(pairs, rows[::2], rows[1::2]):
-        top = max(min(f.position_degree(), g.position_degree(), cap), 0)
-        walks.append((f_rows, g_rows, f_den * g_den, top))
-    total = lcm(*[factorial(top) * den ** top * d for _, _, d, top in walks])
-    for sign, (f_rows, g_rows, d, top) in zip((1, -1), walks):
-        _walk(acc, kernel, steps, den, f_rows, g_rows, sign * total // d, top, first_order)
+    dens = [f_den * g_den for (_, f_den), (_, g_den) in zip(rows[::2], rows[1::2])]
+    total = factorial(top) * den ** top * lcm(*dens)
+    level = [(f_rows, g_rows, sign * total // d, 0, 0) for sign, (f_rows, _), (g_rows, _), d
+             in zip((1, -1), rows[::2], rows[1::2], dens)]
+    acc = {}
+    _walk(acc, kernel, steps, den, level, top, first_order)
     return add_rows(data, acc.items(), total)
 
 
@@ -246,10 +247,8 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
     zero past the cap and past the series end, the smaller position degree."""
     if not isinstance(s, int) or s < 0:
         raise DomainError(f"correction order must be a non-negative int, got {s!r}")
-    if ((config.order_cap is not None and s > config.order_cap)
-            or s > min(f.position_degree(), g.position_degree())):
-        return QPolynomial.zero()
-    return QPolynomial.from_terms(_order_rows([(f, g)], config.theta, 1, s, s))
+    cap = s if config.order_cap is None else min(s, config.order_cap)
+    return QPolynomial.from_terms(_order_rows([(f, g)], config.theta, 1, cap, s))
 
 
 def star_commutator(f: QPolynomial, g: QPolynomial,

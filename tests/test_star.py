@@ -140,14 +140,20 @@ def test_star_order_term():
 
 
 def test_star_order_term_past_the_series_end_walks_no_levels(monkeypatch):
-    # The series ends at the smaller position degree, so no level is walked past it.
+    # The series ends at the smaller position degree, and a capped one at the
+    # cap, so past either no operand becomes rows and no partial is taken.
     def no_walk(*args):
-        raise AssertionError("_order_rows called past the series end")
+        raise AssertionError("rows formed past the series end")
 
     f, g = Q ** 3, QBAR ** 2 * QPolynomial.variable("nu") ** 4
-    monkeypatch.setattr(importlib.import_module("quatstar.star"), "_order_rows", no_walk)
+    star_module = importlib.import_module("quatstar.star")
+    for name in ("rows", "unit_rows"):
+        monkeypatch.setattr(QPolynomial, name, no_walk)
+    for name in ("add_partial_rows", "add_partial_unit_rows"):
+        monkeypatch.setattr(star_module, name, no_walk)
     for s in (3, 4, 7):
         assert star_order_term(f, g, s).is_zero()
+    assert star_order_term(f, g, 2, StarConfig(order_cap=1)).is_zero()
     assert star_order_term(f, QPolynomial.zero(), 1).is_zero()
     with pytest.raises(AssertionError, match="past the series end"):
         star_order_term(f, g, 2)
@@ -181,26 +187,48 @@ def test_parameter_exponents_are_guarded_on_every_term_the_walk_forms(var):
 # them on signed-unit rows; (1 + i) q q has two, which keeps it on integer rows.
 UNIT_PAIR = (Q * Q, QBAR)
 DENSE_PAIR = (Q * Q * Quaternion(1, 1), QBAR)
+# 1 + k has position degree 0, so its series with any operand stops at order
+# 0: against q, a dense operand, zero and nu Theta_ab, either way round.
+ONE_K = _const(Quaternion(1, 0, 0, 1))
+FLAT_PAIRS = [pair for other in (Q, DENSE_PAIR[0], QPolynomial.zero(),
+                                 QPolynomial.variable("nu") * QPolynomial.variable("Theta_ab"))
+              for pair in ((ONE_K, other), (other, ONE_K))]
+NU_0, CAP_0 = StarConfig(nu=0), StarConfig(order_cap=0)
 
 
-@pytest.mark.parametrize("config", [StarConfig(nu=0), StarConfig(order_cap=0)],
-                         ids=["nu-0", "cap-0"])
-@pytest.mark.parametrize("route", [star, star_oracle], ids=["engine", "oracle"])
+@pytest.mark.parametrize("route, config", [
+    (star, CAP_0), (star, NU_0), (star_oracle, CAP_0), (star_oracle, NU_0), (star, StarConfig()),
+    (star, StarConfig(theta=ThetaSpec.numeric({"ab": 1, "bc": Fraction(3, 2), "cd": -2}),
+                      nu=Fraction(1, 3))),
+    (star, StarConfig(nu=Fraction(-2, 5)))],
+                         ids=["engine-cap-0", "engine-nu-0", "oracle-cap-0", "oracle-nu-0",
+                              "engine-formal", "engine-numeric", "engine-numeric-nu"])
 def test_nu_zero_is_order_cap_zero_on_both_routes(monkeypatch, route, config):
-    # nu = 0 and order cap 0 are one rule: both routes return f g without
-    # building a derivative, so neither integer rows, signed-unit partials
-    # nor gradients are ever formed, on a pair of either row format.
-    pairs = [UNIT_PAIR, DENSE_PAIR]
-    expected = [f * g for f, g in pairs]
+    # nu = 0, order cap 0 and an operand of position degree 0 are one rule:
+    # the series stops at order 0, so both routes return f g without building
+    # a derivative, and the engine converts no operand to rows, whatever its
+    # row format.  The engine's commutator and its order terms C_0 and C_1
+    # (zero at position degree 0) agree with the oracle.
+    pairs = [UNIT_PAIR, DENSE_PAIR] if config in (NU_0, CAP_0) else []
+    if route is star_oracle:
+        checks = [(star_oracle, (f, g, config), f * g) for f, g in pairs]
+    else:
+        checks = [check for f, g in pairs + FLAT_PAIRS for check in [
+            (star, (f, g, config), star_oracle(f, g, config)),
+            (star_commutator, (f, g, config), star_oracle(f, g, config) - star_oracle(g, f, config))]]
+        checks += [(star_order_term, (f, g, s, config), star_oracle_order(f, g, s, config))
+                   for f, g in FLAT_PAIRS for s in (0, 1)]
 
     def no_derivatives(*args):
-        raise AssertionError("order cap 0 builds no rows or gradients")
+        raise AssertionError("a series that stops at order 0 builds no rows or gradients")
 
     monkeypatch.setattr(QPolynomial, "rows", no_derivatives)
+    monkeypatch.setattr(QPolynomial, "unit_rows", no_derivatives)
     monkeypatch.setattr(QPolynomial, "gradient", no_derivatives)
     monkeypatch.setattr(importlib.import_module("quatstar.star"), "add_partial_unit_rows",
                         no_derivatives)
-    assert [route(f, g, config) for f, g in pairs] == expected
+    for function, args, expected in checks:
+        assert function(*args) == expected, (function.__name__, args)
 
 
 @pytest.mark.parametrize("f, g, other", [
@@ -292,12 +320,18 @@ def test_associator_vanishes():
 # Operand triples as expression text: a dense operand among one-component
 # ones (integer rows), either way round; one-component operands over
 # different denominators, whose outer associator products stop at orders 2
-# and 1, so the two series lie over different denominators; and the V11.4
-# shape.
+# and 1, so the two series lie over different denominators; the V11.4
+# shape; two associators whose series stop at orders 2 and 1, then 1 and
+# 2, so the one walk carries a series that ends before its bound; and one
+# whose inner product f * g cancels the 3 of f, so only the lcm of the two
+# sides' denominators serves both.
 DIFFERENCE_TRIPLES = [("(1 + 1/3 i + 2 k) q + qbar", "q", "qbar^2"),
                       ("q", "(1 + i) q qbar", "1/2 qbar"),
                       ("1/2 q", "qbar", "1/3 q^2"),
-                      ("q", "qbar", "q^2")]
+                      ("q", "qbar", "q^2"),
+                      ("q", "q", "q^2"),
+                      ("q^2", "qbar", "q"),
+                      ("1/3 q", "3 qbar", "q")]
 
 
 @pytest.mark.parametrize("config", [
