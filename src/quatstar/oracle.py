@@ -11,12 +11,15 @@ each applying its left index to the left factor and its right index to the
 right factor.  B^s(f (x) g) is held with like terms collected, one entry per
 pair (alpha, beta) of derivative multi-indices, and the series ends where no
 pair is left (or at the order cap).  Each order's raw sum is one product
-d^alpha f * d^beta g per pair, times the pair's weight.
+d^alpha f * d^beta g per pair, times the pair's weight; order 0 is f * g.
 
-It shares only primitives (`QPolynomial.gradient` and `*`, `add_term`,
-`mono_mul`, `var_mono`, `Quaternion.scale`) with the main engine, which sums
-over alpha alone, on integer rows, with multinomials s!/alpha! and
-derivatives D^alpha g that fold Theta, nu and 1/2 in.  The oracle keeps the
+Gradients and products are the oracle's own, over plain term dicts
+{packed monomial: Quaternion}.  It shares only primitives (`add_term`,
+`mono_mul`, `var_mono`, the packed-format constants, `Quaternion` `*` and
+`scale`) with the main engine, which sums over alpha alone, on integer
+rows, with multinomials s!/alpha! and derivatives D^alpha g that fold
+Theta, nu and 1/2 in, and forms order 0 with `QPolynomial.__mul__` on
+integer rows and at bound 0.  The oracle keeps the
 plain d^beta g, holds Theta and a formal nu in the weights and finds every
 multiplicity by merging the pairs B reaches, so agreement between the
 routes is meaningful.  A formal nu rides in each summand's monomial, so its
@@ -33,16 +36,18 @@ from fractions import Fraction
 from math import factorial
 from random import Random
 
-from .poly import N_VARS, NU, VAR_INDEX, ZERO_MONO, QPolynomial, add_term, mono_mul, var_mono
+from .poly import (DEGREE_GUARD, FIELD_MASK, N_VARS, NU, POSITION_FIELDS, VAR_INDEX, ZERO_MONO,
+                   QPolynomial, add_term, mono_mul, var_mono)
 from .quat import Quaternion
 from .star import PAIRS, StarConfig, ThetaSpec, DEFAULT_CONFIG, pair_indices
 
 
 def _signed_steps(theta: ThetaSpec, nu_mono: int):
-    """The summands d_m (x) d_n of the exponent as (m, n, monomial, signed
-    weight).  Formal Theta gives the Theta_mn monomial and weight +-1,
-    numeric Theta the unit monomial and +- the pair's value; zero pairs drop.
-    Every monomial carries `nu_mono`, a formal nu's factor."""
+    """The summands d_m (x) d_n of the exponent as (m, n, e_m, e_n, monomial,
+    signed weight), e_m and e_n the unit monomials of m and n.  Formal Theta
+    gives the Theta_mn monomial and weight +-1, numeric Theta the unit
+    monomial and +- the pair's value; zero pairs drop.  Every monomial
+    carries `nu_mono`, a formal nu's factor."""
     steps = []
     for pos, pair in enumerate(PAIRS):
         m, n = pair_indices(pair)
@@ -52,16 +57,43 @@ def _signed_steps(theta: ThetaSpec, nu_mono: int):
             mono, weight = ZERO_MONO, theta.values[pos]
             if not weight:
                 continue
-        mono = mono_mul(mono, nu_mono)
-        steps += [(m, n, mono, weight), (n, m, mono, -weight)]
+        mono, em, en = mono_mul(mono, nu_mono), var_mono(m), var_mono(n)
+        steps += [(m, n, em, en, mono, weight), (n, m, en, em, mono, -weight)]
     return steps
+
+
+def _gradient(terms) -> tuple:
+    """The partials of a term dict over a, b, c and d, as four term dicts,
+    in one pass over the terms."""
+    parts = ({}, {}, {}, {})
+    for mono, coeff in terms.items():
+        for idx, shift, unit in POSITION_FIELDS:
+            if exp := mono >> shift & FIELD_MASK:
+                parts[idx][mono - unit] = coeff if exp == 1 else coeff.scale(exp)
+    return parts
+
+
+def _add_product(target: dict, left, right, weight: dict) -> None:
+    """Add the product of the term dicts `left` and `right` (coefficients
+    multiplied left to right), times each term of `weight`, a (nu, Theta)
+    monomial -> rational dict, into the term dict `target` in place."""
+    right, weight = right.items(), weight.items()
+    for m1, c1 in left.items():
+        for m2, c2 in right:
+            coeff, mono = c1 * c2, m1 + m2
+            if mono >= DEGREE_GUARD:
+                mono_mul(m1, m2)
+            for wmono, w in weight:
+                add_term(target, mono_mul(mono, wmono), coeff if w == 1 else coeff.scale(w))
 
 
 def _order_sums(f, g, theta, cap, nu_mono=ZERO_MONO):
     """Raw sums of B^s(f (x) g) as term dicts; sums[s - 1] holds order s.
 
     An order maps (alpha, beta), packed monomials in a..d, to (d^alpha f,
-    d^beta g, weight), the weight a (nu, Theta) monomial -> rational dict.
+    d^beta g, weight): the derivatives are term dicts (the start pair is f
+    and g, read by items() alike), the weight a (nu, Theta) monomial ->
+    rational dict.
     B adds each pair's weight, times a summand's, into (alpha + e_m, beta + e_n)
     when d_m d^alpha f and d_n d^beta g are nonzero; a cancelled weight drops.
     Each distinct derivative's gradient is taken once per order, a right one
@@ -75,13 +107,13 @@ def _order_sums(f, g, theta, cap, nu_mono=ZERO_MONO):
     while len(sums) != cap:
         lefts, rights, children = {}, {}, {}
         for (alpha, beta), (fd, gd, weight) in level.items():
-            fds = lefts[alpha] if alpha in lefts else lefts.setdefault(alpha, fd.gradient())
+            fds = lefts[alpha] if alpha in lefts else lefts.setdefault(alpha, _gradient(fd))
             if not any(fds):
                 continue
-            gds = rights[beta] if beta in rights else rights.setdefault(beta, gd.gradient())
-            for m, n, theta_mono, signed in steps:
+            gds = rights[beta] if beta in rights else rights.setdefault(beta, _gradient(gd))
+            for m, n, em, en, theta_mono, signed in steps:
                 if fds[m] and gds[n]:
-                    key = (mono_mul(alpha, var_mono(m)), mono_mul(beta, var_mono(n)))
+                    key = (mono_mul(alpha, em), mono_mul(beta, en))
                     child = children.setdefault(key, (fds[m], gds[n], {}))[2]
                     for wmono, w in weight.items():
                         wmono = mono_mul(wmono, theta_mono)
@@ -93,9 +125,7 @@ def _order_sums(f, g, theta, cap, nu_mono=ZERO_MONO):
             break
         target = {}
         for fd, gd, weight in level.values():
-            for mono, coeff in (fd * gd).items():
-                for wmono, w in weight.items():
-                    add_term(target, mono_mul(mono, wmono), coeff if w == 1 else coeff.scale(w))
+            _add_product(target, fd, gd, weight)
         sums.append(target)
     return sums
 
@@ -108,7 +138,8 @@ def star_oracle(f: QPolynomial, g: QPolynomial,
     formal = config.nu == "formal"
     sums = _order_sums(f, g, config.theta, config.order_cap if formal or config.nu else 0,
                        var_mono(NU) if formal else ZERO_MONO)
-    data = dict((f * g).items())
+    data = {}
+    _add_product(data, f, g, {ZERO_MONO: 1})
     for s, raw in enumerate(sums, 1):
         weight = Fraction(1 if formal else config.nu ** s, factorial(s) * 2 ** s)
         for mono, coeff in raw.items():

@@ -13,10 +13,11 @@ order, and a product is `m1 + m2`: a field holds the sum of two exponents
 <= EXPONENT_LIMIT < 2^20 without a carry.  The overflow guard is one compare
 against (EXPONENT_LIMIT + 1) << degree shift; only a product of higher total
 degree is unpacked to check each field.  A partial reads one field with a
-shift and a mask and subtracts a precomputed unit; `gradient` takes all four
-position partials in one pass over the terms.  Only this module knows
-the format: the constructor, `terms()` and `coefficient()` speak 11-tuples
-of ints in [0, EXPONENT_LIMIT], and anything else is a DomainError.
+shift and a mask and subtracts a precomputed unit.  The constructor,
+`terms()` and `coefficient()` speak 11-tuples of ints in [0, EXPONENT_LIMIT],
+and anything else is a DomainError.  Outside this module only the oracle
+reads the format, through FIELD_MASK, DEGREE_GUARD and POSITION_FIELDS (a
+position variable's index, shift and unit), for its own gradient and product.
 
 A row is a (packed monomial, (n0, n1, n2, n3)) pair of ints, the term
 (n0 + n1 i + n2 j + n3 k) mono over a denominator the caller keeps.
@@ -77,12 +78,12 @@ N_VARS = len(VARIABLES)
 EXPONENT_LIMIT = 10 ** 6
 
 _FIELD_BITS = 21
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
+FIELD_MASK = (1 << _FIELD_BITS) - 1
 _SHIFTS = tuple(_FIELD_BITS * (N_VARS - 1 - idx) for idx in range(N_VARS))
 _DEGREE_SHIFT = _FIELD_BITS * N_VARS
-_DEGREE_GUARD = (EXPONENT_LIMIT + 1) << _DEGREE_SHIFT
+DEGREE_GUARD = (EXPONENT_LIMIT + 1) << _DEGREE_SHIFT
 _UNITS = tuple((1 << _DEGREE_SHIFT) | (1 << shift) for shift in _SHIFTS)
-_POSITION_FIELDS = tuple(zip(range(4), _SHIFTS[:4], _UNITS[:4]))
+POSITION_FIELDS = tuple(zip(range(4), _SHIFTS[:4], _UNITS[:4]))
 _PARAMETER_FIELDS = (1 << _SHIFTS[3]) - 1  # the nu and Theta fields
 _OVERFLOW = f"exponent overflow: monomial exponent exceeds {EXPONENT_LIMIT}"
 ZERO_MONO = 0
@@ -115,7 +116,7 @@ def _pack(mono: tuple) -> int:
 
 
 def _unpack(mono: int) -> tuple:
-    return tuple(mono >> shift & _FIELD_MASK for shift in _SHIFTS)
+    return tuple(mono >> shift & FIELD_MASK for shift in _SHIFTS)
 
 
 def var_mono(idx: int, exp: int = 1) -> int:
@@ -128,8 +129,8 @@ def var_mono(idx: int, exp: int = 1) -> int:
 def mono_mul(m1: int, m2: int) -> int:
     """The product of two packed monomials, guarded against exponent overflow."""
     product = m1 + m2
-    if product >= _DEGREE_GUARD and any(
-            product >> shift & _FIELD_MASK > EXPONENT_LIMIT for shift in _SHIFTS):
+    if product >= DEGREE_GUARD and any(
+            product >> shift & FIELD_MASK > EXPONENT_LIMIT for shift in _SHIFTS):
         raise DomainError(_OVERFLOW)
     return product
 
@@ -168,7 +169,7 @@ def mul_rows(acc: dict, left, right, c: int = 1) -> None:
             a0, a1, a2, a3 = a0 * c, a1 * c, a2 * c, a3 * c
         for m2, (b0, b1, b2, b3) in right:
             mono = m1 + m2
-            if mono >= _DEGREE_GUARD:
+            if mono >= DEGREE_GUARD:
                 mono_mul(m1, m2)
             p0, p1, p2, p3 = get(mono, (0, 0, 0, 0))
             acc[mono] = (p0 + a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
@@ -184,10 +185,10 @@ def add_partial_rows(acc: dict, rows: dict, idx: int, k: int, shift: int = ZERO_
     field, unit = _SHIFTS[idx], _UNITS[idx]
     get = acc.get
     for m, (n0, n1, n2, n3) in rows.items():
-        if e := m >> field & _FIELD_MASK:
+        if e := m >> field & FIELD_MASK:
             m -= unit
             mono = m + shift
-            if mono >= _DEGREE_GUARD:
+            if mono >= DEGREE_GUARD:
                 mono_mul(m, shift)
             e *= k
             p0, p1, p2, p3 = get(mono, (0, 0, 0, 0))
@@ -217,7 +218,7 @@ def _signed_unit(coeff: Quaternion):
 # _UNIT_STEPS[u][v] = (w, sign) for e_u e_v = sign e_w, read off the
 # quaternion product.
 _UNIT_STEPS = tuple(tuple(_signed_unit(x * y) for y in UNITS) for x in UNITS)
-_UNIT_GUARD = _DEGREE_GUARD << 2
+_UNIT_GUARD = DEGREE_GUARD << 2
 
 
 def mul_unit_rows(acc: dict, left, right, c: int = 1) -> None:
@@ -229,7 +230,7 @@ def mul_unit_rows(acc: dict, left, right, c: int = 1) -> None:
     groups = ([], [], [], [])
     for key, b in right:
         groups[key & 3].append((key >> 2, b))
-    get, guard = acc.get, _DEGREE_GUARD
+    get, guard = acc.get, DEGREE_GUARD
     for key, a in left:
         m1, a = key >> 2, a * c
         for (w, sign), group in zip(_UNIT_STEPS[key & 3], groups):
@@ -249,7 +250,7 @@ def add_partial_unit_rows(acc: dict, rows: dict, idx: int, k: int,
     `rows` over position variable `idx`, at each monomial times `shift`, into
     `acc` in place; entries that cancel stay in `acc` as zeros."""
     field, unit, offset = _SHIFTS[idx] + 2, _UNITS[idx] << 2, shift << 2
-    get, mask, guard = acc.get, _FIELD_MASK, _UNIT_GUARD
+    get, mask, guard = acc.get, FIELD_MASK, _UNIT_GUARD
     for key, n in rows.items():
         if e := key >> field & mask:
             key -= unit
@@ -344,13 +345,13 @@ class QPolynomial:
         if not (top := max(self._terms)) & _PARAMETER_FIELDS:
             return top >> _DEGREE_SHIFT
         a, b, c, d = _SHIFTS[:4]
-        return max((m >> a & _FIELD_MASK) + (m >> b & _FIELD_MASK) + (m >> c & _FIELD_MASK)
-                   + (m >> d & _FIELD_MASK) for m in self._terms)
+        return max((m >> a & FIELD_MASK) + (m >> b & FIELD_MASK) + (m >> c & FIELD_MASK)
+                   + (m >> d & FIELD_MASK) for m in self._terms)
 
     def nu_degree(self) -> int:
         if not self._terms:
             return -1
-        return max(m >> _SHIFTS[NU] & _FIELD_MASK for m in self._terms)
+        return max(m >> _SHIFTS[NU] & FIELD_MASK for m in self._terms)
 
     def rows(self) -> tuple:
         """(rows, den): the terms as integer rows {mono: (n0, n1, n2, n3)}
@@ -408,7 +409,7 @@ class QPolynomial:
                 # only to check the fields of a product whose degree is over the limit.
                 coeff = c1 * c2
                 mono = m1 + m2
-                if mono >= _DEGREE_GUARD:
+                if mono >= DEGREE_GUARD:
                     mono_mul(m1, m2)
                 prev = data.get(mono)
                 if prev is None:
@@ -488,22 +489,11 @@ class QPolynomial:
         shift, unit = _SHIFTS[idx], _UNITS[idx]
         data = {}
         for mono, coeff in self._terms.items():
-            exp = mono >> shift & _FIELD_MASK
+            exp = mono >> shift & FIELD_MASK
             if exp:
                 # Lowering one exponent maps distinct monomials to distinct ones.
                 data[mono - unit] = coeff.scale(exp)
         return QPolynomial.from_terms(data)
-
-    def gradient(self) -> list:
-        """The partials over a, b, c and d, as `partial` gives them, in one
-        pass over the terms."""
-        parts = ({}, {}, {}, {})
-        for mono, coeff in self._terms.items():
-            for idx, shift, unit in _POSITION_FIELDS:
-                exp = mono >> shift & _FIELD_MASK
-                if exp:
-                    parts[idx][mono - unit] = coeff if exp == 1 else coeff.scale(exp)
-        return [QPolynomial.from_terms(data) for data in parts]
 
     def conjugate(self) -> "QPolynomial":
         """Quaternionic conjugation of every coefficient (variables stay fixed)."""
@@ -534,7 +524,7 @@ class QPolynomial:
         """The polynomial multiplying nu^s (with that nu power removed)."""
         shift, unit = _SHIFTS[NU], _UNITS[NU]
         return QPolynomial.from_terms({m - s * unit: c for m, c in self._terms.items()
-                                       if m >> shift & _FIELD_MASK == s})
+                                       if m >> shift & FIELD_MASK == s})
 
     # --- text ---
 

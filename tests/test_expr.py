@@ -8,7 +8,7 @@ import pytest
 import quatstar.oracle
 from quatstar import cli
 from quatstar.errors import DomainError, ParseError
-from quatstar.expr import evaluate_text, lower, tokenize
+from quatstar.expr import evaluate_text, lower, parse_expression, tokenize
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
 from quatstar.quat import I, K
 from quatstar.star import StarConfig, ThetaSpec, star
@@ -174,6 +174,19 @@ def test_parse_error_function_without_arguments():
     with pytest.raises(ParseError) as err:
         evaluate_text("star + 1")
     assert "needs arguments" in str(err.value)
+
+
+def test_parse_error_function_without_arguments_names_the_token():
+    with pytest.raises(ParseError) as err:
+        parse_expression("conj + q")
+    assert "(got '+')" in str(err.value)
+
+
+def test_exactly_one_hundred_nesting_levels_parse():
+    assert parse_expression("(" * 100 + "a" + ")" * 100) == parse_expression("a")
+    with pytest.raises(ParseError) as err:
+        parse_expression("(" * 101 + "a" + ")" * 101)
+    assert "nested deeper than 100 levels" in str(err.value)
 
 
 def test_parse_error_wrong_arity():

@@ -1,6 +1,7 @@
 """The independent star-product oracle and random-testing helpers."""
 
 import ast
+import importlib
 import re
 from fractions import Fraction
 from math import comb, factorial
@@ -13,7 +14,7 @@ import quatstar.oracle
 from quatstar.errors import DomainError
 from quatstar.oracle import (poisson_bracket_oracle, random_qpoly, random_quaternion, random_rational,
                              star_oracle)
-from quatstar.poly import QPolynomial, gen_q, gen_qbar
+from quatstar.poly import QPolynomial, add_term, gen_q, gen_qbar
 from quatstar.quat import Quaternion
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec, poisson_bracket,
                            star, star_order_term)
@@ -221,8 +222,9 @@ def test_random_rational_bounds():
 
 def test_oracle_shares_no_star_kernel():
     """The oracle may take only configuration names from `star` and no
-    integer-row kernel from `poly`, and the engine never takes the oracle's
-    `gradient`, so that their agreement stays a check on two routes."""
+    integer-row kernel or private name from `poly`, and the engine never
+    names the oracle's gradient, so that their agreement stays a check on
+    two routes."""
     star_names = {"PAIRS", "StarConfig", "ThetaSpec", "DEFAULT_CONFIG", "pair_indices"}
     row_kernel = {"mul_rows", "add_rows", "add_partial_rows", "live_directions",
                   "unit_rows", "mul_unit_rows", "add_unit_rows", "add_partial_unit_rows"}
@@ -239,9 +241,74 @@ def test_oracle_shares_no_star_kernel():
                 assert names <= star_names, names - star_names
             elif module == "poly":
                 assert not names & row_kernel, names & row_kernel
+                assert not {name for name in names if name.startswith("_")}, names
         elif isinstance(node, ast.Attribute):
-            assert node.attr not in row_kernel | {"rows", "denominator"}, node.attr
+            assert node.attr not in row_kernel | {"rows", "denominator", "partial",
+                                                   "gradient"}, node.attr
     engine = ast.parse(oracle_path.with_name("star.py").read_text(encoding="utf-8"))
     engine_names = {node.attr if isinstance(node, ast.Attribute) else node.id
                     for node in ast.walk(engine) if isinstance(node, (ast.Attribute, ast.Name))}
-    assert "gradient" not in engine_names
+    assert not {name for name in engine_names if "gradient" in name}
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the oracle reached a product, partial or row kernel of the engine")
+
+
+@pytest.mark.parametrize("config", [StarConfig(), StarConfig(theta=RATIONAL_THETA),
+                                    StarConfig(nu=Fraction(-3, 2))],
+                         ids=["formal", "numeric-theta", "numeric-nu"])
+def test_oracle_runs_on_its_own_product_and_gradient(monkeypatch, config):
+    """With every polynomial product, partial and row kernel of `poly` and
+    `star` raising, the oracle's star products and brackets are unchanged."""
+    rng = Random(61)
+    pairs = [(random_qpoly(rng, 4, 4, True), random_qpoly(rng, 4, 4, True)) for _ in range(12)]
+    pairs += [(Q * Q, QBAR), (QBAR, Q * Q * Q)]
+
+    def results():
+        return ([star_oracle(f, g, config) for f, g in pairs]
+                + [poisson_bracket_oracle(f, g, pair) for f, g in pairs[:4] for pair in PAIRS])
+
+    expected = results()
+    for name in ("__mul__", "partial", "rows", "unit_rows"):
+        monkeypatch.setattr(QPolynomial, name, _raise)
+    for module in ("quatstar.poly", "quatstar.star"):
+        module = importlib.import_module(module)
+        for name in ("mul_rows", "mul_unit_rows", "add_partial_rows", "add_partial_unit_rows",
+                     "add_rows"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _raise)
+    assert results() == expected
+
+
+def _swapped_mul(self, other):
+    """`QPolynomial.__mul__` with each coefficient product taken right to left."""
+    data = {}
+    for m1, c1 in self.items():
+        for m2, c2 in other.items():
+            add_term(data, m1 + m2, c2 * c1)
+    return QPolynomial.from_terms(data)
+
+
+@pytest.mark.parametrize("config", [StarConfig(order_cap=0), StarConfig(nu=0)],
+                         ids=["cap-0", "nu-0"])
+def test_oracle_order_0_sees_a_mutant_polynomial_product(monkeypatch, config):
+    """C_0[f, g] = f g is formed by the oracle on its own, so a fault in
+    `QPolynomial.__mul__` shows as a difference from the engine, which
+    forms an order-0-only series as f * g."""
+    f = QPolynomial({(1,) + (0,) * 10: Quaternion(1, 2, 3, 4)})
+    g = QPolynomial({(0, 1) + (0,) * 9: Quaternion(4, -3, 2, 1)})
+    right = star_oracle(f, g, config)
+    assert right == f * g
+    monkeypatch.setattr(QPolynomial, "__mul__", _swapped_mul)
+    assert star_oracle(f, g, config) == right
+    assert star(f, g, config) != right
+
+
+def test_oracle_gradient_equals_the_four_partials():
+    rng = Random(17)
+    cases = [random_qpoly(rng, 4, 4, True) for _ in range(60)]
+    cases += [QPolynomial.zero(), QPolynomial.constant(Fraction(-3, 4)), gen_q() ** 3]
+    for p in cases:
+        assert list(quatstar.oracle._gradient(dict(p.items()))) == [
+            dict(p.partial(v).items()) for v in range(4)]

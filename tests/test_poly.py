@@ -248,14 +248,6 @@ def test_partial_derivatives():
         p.partial("Theta_ab")
 
 
-def test_gradient_equals_the_four_partials():
-    rng = Random(17)
-    cases = [random_qpoly(rng, 4, 4, True) for _ in range(60)]
-    cases += [QPolynomial.zero(), QPolynomial.constant(Fraction(-3, 4)), gen_q() ** 3]
-    for p in cases:
-        assert p.gradient() == [p.partial(v) for v in range(4)]
-
-
 def test_partial_rows_equal_shifted_scaled_partials():
     rng = Random(18)
     theta_ab = var_mono(var_index("Theta_ab"))

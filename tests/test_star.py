@@ -224,7 +224,7 @@ def test_nu_zero_is_order_cap_zero_on_both_routes(monkeypatch, route, config):
 
     monkeypatch.setattr(QPolynomial, "rows", no_derivatives)
     monkeypatch.setattr(QPolynomial, "unit_rows", no_derivatives)
-    monkeypatch.setattr(QPolynomial, "gradient", no_derivatives)
+    monkeypatch.setattr(importlib.import_module("quatstar.oracle"), "_gradient", no_derivatives)
     monkeypatch.setattr(importlib.import_module("quatstar.star"), "add_partial_unit_rows",
                         no_derivatives)
     for function, args, expected in checks:
