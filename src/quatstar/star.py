@@ -42,9 +42,9 @@ f and D_m D^alpha' g and its c that of alpha' over k den, k the new
 exponent of m.  One rule decides a child: alpha + e_m exists iff d_m
 d^alpha f != 0 and D_m D^alpha g != 0, so a series may end before top.
 Each alpha adds one row product to one accumulator of integer rows that
-`add_rows` turns back into Quaternions once; both series of a difference
-(`star_commutator`, `associator`) walk in one level, so terms cancel as
-ints, across orders too (an associator's inner products carry nu).
+`add_rows` turns back into Quaternions once; `star_difference`, the one
+difference walk, starts both series in one level, so terms cancel as ints,
+across orders too (an associator's inner products carry nu).
 
 One walk serves both operand formats, chosen per call by one rule:
 signed-unit rows iff every coefficient of every operand has exactly one
@@ -251,17 +251,21 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
     return QPolynomial.from_terms(_order_rows([(f, g)], config.theta, 1, cap, s))
 
 
+def star_difference(first, second, config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
+    """f1 * g1 - f2 * g2 for first = (f1, g1), second = (f2, g2), both series
+    in one accumulator, so terms cancel as ints before any Quaternion is built."""
+    return QPolynomial.from_terms(
+        _order_rows([first, second], config.theta, config.nu, config.order_cap))
+
+
 def star_commutator(f: QPolynomial, g: QPolynomial,
                     config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
-    """f * g - g * f, both series walked into one accumulator, so their
-    terms cancel as ints before any Quaternion is built."""
-    return QPolynomial.from_terms(
-        _order_rows([(f, g), (g, f)], config.theta, config.nu, config.order_cap))
+    """f * g - g * f as one `star_difference`."""
+    return star_difference((f, g), (g, f), config)
 
 
 def associator(f: QPolynomial, g: QPolynomial, h: QPolynomial,
                config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """(f * g) * h - f * (g * h): the inner products are stars, the outer
-    two series share one accumulator as in `star_commutator`."""
-    pairs = [(star(f, g, config), h), (f, star(g, h, config))]
-    return QPolynomial.from_terms(_order_rows(pairs, config.theta, config.nu, config.order_cap))
+    two series one `star_difference`."""
+    return star_difference((star(f, g, config), h), (f, star(g, h, config)), config)

@@ -18,11 +18,13 @@ built from the source's own operands, screening each with the engine alone;
 MATCH means a witness was found, and only that witness is re-checked through
 both routes, so a search that ends in MISMATCH (V11.4) rests on the engine
 here; the test suite's third route re-derives a seeded sample of its
-candidates.
+candidates.  V11.4 lowers its pool once and forms the 25 products star(f, g)
+once, so each candidate (f, g, h) is screened by one `star_difference`.
 
 The registry is data: each id maps to a `functools.partial` of a
 module-level record builder with the record's arguments, so a claim's texts
-and a search's candidates can be read off `.args` and `.keywords`.
+and a search's candidates (V11.4's through `_assoc_candidates`) can be read
+off `.args` and `.keywords`.
 
 Chain equations are split into one record per consecutive pairwise
 equality (plus a head-equals-closed-form record per chain), so one wrong
@@ -42,7 +44,7 @@ from random import Random
 from .errors import OracleDivergenceError, UnknownIdentityError
 from .quat import Quaternion, GROUP_ELEMENTS, ONE, quat_text
 from .poly import QPolynomial, VARIABLES
-from .star import PAIRS
+from .star import PAIRS, star, star_difference
 from . import oracle as _oracle
 from .expr import evaluate_text, lower, parse_expression
 
@@ -151,26 +153,41 @@ def _poly_claim(rid, loc, lhs, rhs, claim=None, equal=True):
     return record
 
 
-def _exists_search(rid, loc, claim, candidates):
-    """Existential inequality: candidates yield (description, lhs, rhs) texts.
+def _search_record(rid, loc, claim, separating, count):
+    """A search's record: the first (desc, lhs, rhs) that `separating` yields
+    is recorded as lhs != rhs through both routes, desc prefixed to its
+    witness; MISMATCH if none of the `count` candidates separates."""
+    for desc, lhs, rhs in separating:
+        record = _poly_claim(rid, loc, lhs, rhs, claim, equal=False)
+        record.witness = f"{desc}: {record.witness}"
+        return record
+    return IdentityRecord(rid, loc, claim, f"both sides equal on all {count} candidate substitutions",
+                          MISMATCH, f"exhausted {count} candidate substitutions without finding a "
+                          "separating one")
 
-    MATCH iff some candidate substitution makes the two sides differ; the
-    first one found (fixed order) is screened by the engine alone, then
-    recorded as the inequation lhs != rhs through both routes, its witness
-    prefixed by the candidate's description.
-    """
-    for desc, lhs, rhs in candidates:
-        if evaluate_text(lhs) != evaluate_text(rhs):
-            record = _poly_claim(rid, loc, lhs, rhs, claim, equal=False)
-            record.witness = f"{desc}: {record.witness}"
-            return record
-    count = len(candidates)
-    return IdentityRecord(
-        rid, loc, claim,
-        f"both sides equal on all {count} candidate substitutions",
-        MISMATCH,
-        witness=(f"exhausted {count} candidate substitutions without "
-                 f"finding a separating one"))
+
+def _exists_search(rid, loc, claim, candidates):
+    """Existential inequality over (description, lhs, rhs) texts, screened by
+    the engine alone in fixed order: MATCH iff some candidate's sides differ."""
+    separating = (c for c in candidates if evaluate_text(c[1]) != evaluate_text(c[2]))
+    return _search_record(rid, loc, claim, separating, len(candidates))
+
+
+def _assoc_candidates(pool):
+    """V11.4's (description, lhs, rhs) texts, in `itertools.product` order."""
+    return [(f"f = {f}, g = {g}, h = {h}", f"assoc({f}, {g}, {h})", "0")
+            for f, g, h in itertools.product(pool, repeat=3)]
+
+
+def _assoc_search(rid, loc, claim, pool):
+    """`_exists_search` over `_assoc_candidates(pool)`, with each pool text lowered
+    and each star(f, g) formed once: a screen is one outer `star_difference`."""
+    values = [evaluate_text(text) for text in pool]
+    stars = [[star(f, g) for g in values] for f in values]
+    indices = itertools.product(range(len(pool)), repeat=3)
+    separating = (c for (x, y, z), c in zip(indices, _assoc_candidates(pool))
+                  if not star_difference((stars[x][y], values[z]), (values[x], stars[y][z])).is_zero())
+    return _search_record(rid, loc, claim, separating, len(pool) ** 3)
 
 
 def _fmt_value(value) -> str:
@@ -505,10 +522,8 @@ def _registry() -> dict:
     add(_poly_claim, "V11.1", "Eq. (19)", "assoc(q, q, q)", "0", equal=False)
     add(_poly_claim, "V11.2", "Eq. (19)", "assoc(q, q, qbar)", "0", equal=False)
     add(_poly_claim, "V11.3", "Eq. (19)", "assoc(q, qbar, q)", "0", equal=False)
-    assoc_pool = ("q", "qbar", "q^2", "i q", "j q")
-    add(_exists_search, "V11.4", "Eq. (19)", "assoc(f, g, h) != 0 for some f, g, h",
-        [(f"f = {f}, g = {g}, h = {h}", f"assoc({f}, {g}, {h})", "0")
-         for f, g, h in itertools.product(assoc_pool, repeat=3)])
+    add(_assoc_search, "V11.4", "Eq. (19)", "assoc(f, g, h) != 0 for some f, g, h",
+        ("q", "qbar", "q^2", "i q", "j q"))
     jacobi_pool = ("q", "qbar", "q^2", "i b", "j b c", "i c")
     jacobi_candidates = []
     for pair in PAIRS:

@@ -27,6 +27,15 @@ def _bound(builder):
             for rid, entry in verify._registry().items() if entry.func is builder}
 
 
+def _v11_4_candidates():
+    """V11.4's (desc, lhs, rhs) triples, in the order its search screens them."""
+    candidates = verify._assoc_candidates(_bound(verify._assoc_search)["V11.4"]["pool"])
+    assert len(candidates) == 125
+    assert candidates[0] == ("f = q, g = q, h = q", "assoc(q, q, q)", "0")
+    assert candidates[-1] == ("f = j q, g = j q, h = j q", "assoc(j q, j q, j q)", "0")
+    return candidates
+
+
 def _records(full_report):
     return {record.id: record for record in full_report.records}
 
@@ -55,7 +64,8 @@ def test_separating_searches_on_the_third_route(full_report, parts):
     # Each search records the first candidate whose sides differ, as lhs != rhs.
     records = _records(full_report)
     searches = _bound(verify._exists_search)
-    assert sorted(searches) == sorted(SEARCHES + ("V11.4",))
+    assert sorted(searches) == sorted(SEARCHES)
+    assert list(_bound(verify._assoc_search)) == ["V11.4"]
     for rid in SEARCHES:
         for desc, lhs, rhs in searches[rid]["candidates"]:
             lv, rv = parts(lhs), parts(rhs)
@@ -71,7 +81,7 @@ def test_separating_searches_on_the_third_route(full_report, parts):
 def test_v11_4_associators_vanish_on_a_seeded_sample(full_report, parts):
     # All 125 are checked by tests/v11_4_full.py, outside tier-1.
     record = _records(full_report)["V11.4"]
-    candidates = _bound(verify._exists_search)["V11.4"]["candidates"]
+    candidates = _v11_4_candidates()
     assert record.status == MISMATCH
     assert record.engine_value == \
         f"both sides equal on all {len(candidates)} candidate substitutions"

@@ -21,8 +21,8 @@ from oracle_order import star_oracle_order
 from quatstar.expr import evaluate_text
 from quatstar.oracle import poisson_bracket_oracle, random_qpoly, random_quaternion, star_oracle
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
-from quatstar.star import (PAIRS, StarConfig, ThetaSpec, poisson_bracket, star,
-                           star_order_term)
+from quatstar.star import (PAIRS, StarConfig, ThetaSpec, associator, poisson_bracket, star,
+                           star_commutator, star_order_term)
 
 THETAS = (ThetaSpec.formal(), ThetaSpec.zero(),
           ThetaSpec.numeric({"ab": Fraction(2, 3), "bc": Fraction(-5, 4), "cd": 3}),
@@ -117,6 +117,9 @@ def _texts():
         "power": _powers(),
         "power_central": _power_central(),
         "star_deep": [star(f, g, cfg) for f, g in _deep_pairs() for cfg in DEEP_CONFIGS],
+        "difference": [value for (f, g), (h, _) in zip(pairs, pairs[1:] + pairs[:1])
+                       for cfg in CONFIGS
+                       for value in (star_commutator(f, g, cfg), associator(f, g, h, cfg))],
     }
     return {name: [value.canonical_text() for value in values]
             for name, values in groups.items()}
@@ -132,6 +135,7 @@ GOLDEN = {
     "power": "84adda259cb7f731046cfbcc60e6b5c4f8a7d4e23f9e3ab3daa05b6364cb788a",
     "power_central": "0fab6ccc91f66236147fda3c30855e86ad63bb66fad8e1b38c8a84324592213a",
     "star_deep": "2094671358ac6e283a769e68af58592b4c4160d76579a438ca856b4a9d00b510",
+    "difference": "0aa9986177acd37c39ee0b7db58c510abfea7a664c1a7ce01dc2a91ce0ae0d8f",
 }
 
 

@@ -14,12 +14,12 @@ import quatstar.poly
 import quatstar.verify as verify
 from quatstar.errors import DomainError
 from quatstar.expr import evaluate_text
-from quatstar.oracle import random_qpoly, star_oracle
+from quatstar.oracle import random_qpoly, random_quaternion, star_oracle
 from quatstar.poly import POSITION_VARS, QPolynomial, add_rows, gen_q, gen_qbar
 from quatstar.quat import UNITS, I, J, K, Quaternion
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec,
                            associator, pair_indices, poisson_bracket, star,
-                           star_commutator, star_order_term)
+                           star_commutator, star_difference, star_order_term)
 from oracle_order import star_oracle_order
 
 Q = gen_q()
@@ -392,6 +392,58 @@ def test_series_denominators_stop_at_the_series_end(monkeypatch):
     assert star(f, g) == star_oracle(f, g)
     assert star_commutator(f, g) == star_oracle(f, g) - star_oracle(g, f)
     assert max(tops) == 2
+
+
+def _one_component_operand(rng):
+    """A seeded operand whose coefficients are each a random unit times a
+    nonzero rational, so it runs on signed-unit rows."""
+    return QPolynomial([(mono, UNITS[rng.randrange(4)].scale(value.components()[0] or 1))
+                        for mono, value in random_qpoly(rng, 3, 3, True).terms()])
+
+
+def _dense_operand(rng):
+    """A seeded operand with a dense rational coefficient: integer rows."""
+    return random_qpoly(rng, 3, 3, True) + QPolynomial({(1, 0, 1) + (0,) * 8:
+                                                        random_quaternion(rng)})
+
+
+DIFFERENCE_CONFIGS = [StarConfig(theta, nu, cap) for theta, nu in [
+    (ThetaSpec.formal(), "formal"),
+    (ThetaSpec.numeric({"ab": Fraction(2, 3), "bd": -1, "cd": 3}), "formal"),
+    (ThetaSpec.formal(), Fraction(-2, 5))] for cap in (None, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("config", DIFFERENCE_CONFIGS, ids=[
+    f"{route}-cap-{cap}" for route in ("formal", "numeric-theta", "numeric-nu")
+    for cap in (None, 0, 1, 2)])
+@pytest.mark.parametrize("operand, bounds_2_and_1, other", [
+    (_one_component_operand, ((Q * Q, QBAR * QBAR), (_const(J) * Q, QBAR ** 3)), "mul_rows"),
+    (_dense_operand, ((DENSE_PAIR[0], QBAR * QBAR), (QBAR, Q ** 3)), "mul_unit_rows")],
+                         ids=["signed-unit", "integer"])
+def test_star_difference_is_the_difference_of_two_stars(monkeypatch, config, operand,
+                                                        bounds_2_and_1, other):
+    # Seeded pairs of pairs on one row format, a commutator, and two series
+    # whose bounds are 2 and 1.  The series cut after order 1 is not
+    # associative: some associators of seeded triples are nonzero, and each
+    # is its materialised form.
+    rng = Random(2032)
+    x = [operand(rng) for _ in range(8)]
+    cases = [((x[0], x[1]), (x[2], x[3])), ((x[4], x[5]), (x[6], x[7])),
+             ((x[0], x[1]), (x[1], x[0])), bounds_2_and_1]
+    expected = [star(*first, config) - star(*second, config) for first, second in cases]
+    if config.order_cap == 1:
+        associators = [(associator(f, g, h, config),
+                        star(star(f, g, config), h, config) - star(f, star(g, h, config), config))
+                       for f, g, h in (x[i:i + 3] for i in range(6))]
+        assert all(value == materialised for value, materialised in associators)
+        assert not all(value.is_zero() for value, _ in associators)
+
+    def other_format(*args):
+        raise AssertionError(f"{other} reached")
+
+    monkeypatch.setattr(importlib.import_module("quatstar.star"), other, other_format)
+    assert [star_difference(first, second, config) for first, second in cases] == expected
+    assert not all(value.is_zero() for value in expected)
 
 
 def _position_monomials(max_degree):

@@ -88,8 +88,8 @@ def test_identity_ids_cover_registry():
 
 
 def test_registry_holds_module_level_builders_with_their_arguments():
-    builders = {verify._poly_claim, verify._exists_search, verify._quat_forall,
-                verify._quat_exists, verify._fn_assoc}
+    builders = {verify._poly_claim, verify._exists_search, verify._assoc_search,
+                verify._quat_forall, verify._quat_exists, verify._fn_assoc}
     for rid, entry in verify._registry().items():
         assert isinstance(entry, functools.partial) and entry.func in builders, rid
         assert entry.args[0] == rid
@@ -193,6 +193,28 @@ def test_fn_assoc_mismatch_records_the_first_triple(monkeypatch):
     assert (record.status, record.engine_value, record.witness) == (MISMATCH, witness, witness)
 
 
+def test_v11_4_records_the_first_candidate_its_screen_separates(monkeypatch):
+    # An altered star(j q, j q) moves the outer difference of every candidate
+    # that uses it as an inner product; the first of them in fixed order is
+    # the 25th, (q, j q, j q), and the screen stops there.  Its texts are
+    # re-checked through both routes, where assoc is zero, as an inequation.
+    jq = evaluate_text("j q")
+    real_star, real_difference, screened = verify.star, verify.star_difference, []
+    monkeypatch.setattr(verify, "star", lambda f, g: real_star(f, g) + jq * jq
+                        if f == g == jq else real_star(f, g))
+    monkeypatch.setattr(verify, "star_difference",
+                        lambda *args: screened.append(args) or real_difference(*args))
+    record = run_identity("V11.4")
+    desc, lhs, rhs = verify._assoc_candidates(verify._registry()["V11.4"].args[3])[24]
+    assert (desc, len(screened)) == ("f = q, g = j q, h = j q", 25)
+    expected = verify._poly_claim("V11.4", "Eq. (19)", lhs, rhs,
+                                  "assoc(f, g, h) != 0 for some f, g, h", equal=False)
+    expected.witness = f"{desc}: {expected.witness}"
+    assert record == expected
+    assert record.witness == ("f = q, g = j q, h = j q: assoc(q, j q, j q) and 0 are identical "
+                              "as polynomials; the difference is 0 everywhere")
+
+
 def test_v11_operands_lie_inside_the_associativity_proof():
     """V11.1-V11.4 are MISMATCH because the star product is associative:
     every operand they pass to assoc has position degree <= 2, so
@@ -200,7 +222,7 @@ def test_v11_operands_lie_inside_the_associativity_proof():
     trilinearity, covers each of their verdicts."""
     registry = verify._registry()
     texts = [registry[rid].args[2] for rid in ("V11.1", "V11.2", "V11.3")]
-    texts += [lhs for _, lhs, _ in registry["V11.4"].args[3]]
+    texts += [lhs for _, lhs, _ in verify._assoc_candidates(registry["V11.4"].args[3])]
     assert len(texts) == 3 + 125
     degrees = set()
     for text in texts:

@@ -16,7 +16,7 @@ from quatstar import verify
 
 def main() -> int:
     start = time.perf_counter()
-    candidates = verify._registry()["V11.4"].args[3]
+    candidates = verify._assoc_candidates(verify._registry()["V11.4"].args[3])
     memo = {}
     nonzero = [desc for desc, lhs, rhs in candidates
                if refimpl.text_parts(lhs, memo) != refimpl.text_parts(rhs, memo)]
