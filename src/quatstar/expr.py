@@ -17,7 +17,8 @@ Names are the generators q and qbar, the units i, j, k, the eleven
 variables, and the call forms star(f,g), comm(f,g), assoc(f,g,h), conj(f),
 pb_mn(f,g) with mn one of the six `PAIRS`, ab .. cd.  Call arity is checked at
 parse time, and so is nesting: parentheses, call arguments and unary minus
-signs nest at most MAX_NESTING deep.
+signs nest at most MAX_NESTING deep.  `lower_routes` lowers a tree through
+several star backends in one walk; `lower` is its one-backend case.
 """
 
 from __future__ import annotations
@@ -260,30 +261,43 @@ def _atom_poly(ident: str) -> QPolynomial:
 _CHAIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def lower(node, config: StarConfig = DEFAULT_CONFIG,
-          backend: str = "engine") -> QPolynomial:
-    """Evaluate a syntax tree to a polynomial.
-
-    Star products (star, comm, assoc) are computed by the chosen backend
-    under `config`; bare nu/Theta atoms always denote the formal variables.
-    """
+def _route_calls(backend: str) -> dict:
+    """One backend's star, comm, assoc and pb (bracket) functions, as bound now."""
     if backend == "engine":
-        star_fn, bracket_fn = _engine_star, _engine_bracket
-        comm_fn, assoc_fn = _engine_comm, _engine_assoc
-    elif backend == "oracle":
-        star_fn, bracket_fn = _oracle.star_oracle, _oracle.poisson_bracket_oracle
-        comm_fn = lambda f, g, c: star_fn(f, g, c) - star_fn(g, f, c)
-        assoc_fn = lambda f, g, h, c: star_fn(star_fn(f, g, c), h, c) - star_fn(f, star_fn(g, h, c), c)
-    else:
+        return {"star": _engine_star, "comm": _engine_comm, "assoc": _engine_assoc,
+                "pb": _engine_bracket}
+    if backend != "oracle":
         raise ValueError(f"unknown backend {backend!r}")
+    star_fn = _oracle.star_oracle
+    return {"star": star_fn, "pb": _oracle.poisson_bracket_oracle,
+            "comm": lambda f, g, c: star_fn(f, g, c) - star_fn(g, f, c),
+            "assoc": lambda f, g, h, c: star_fn(star_fn(f, g, c), h, c) - star_fn(f, star_fn(g, h, c), c)}
+
+
+def lower_routes(node, config: StarConfig = DEFAULT_CONFIG,
+                 backends: tuple = ("engine", "oracle")) -> tuple:
+    """Evaluate a syntax tree to one polynomial per backend, in one walk.
+
+    A star, comm, assoc or pb_mn call is computed by each backend under
+    `config`.  Every other node is the same `QPolynomial` arithmetic on every
+    route, so when its operands are the same objects on every route it is
+    computed once and its value shared.  Bare nu/Theta atoms always denote
+    the formal variables.
+    """
+    routes = [_route_calls(backend) for backend in backends]
+
+    def each(fn, *operands):
+        if all(v is vs[0] for vs in operands for v in vs):
+            return (fn(*(vs[0] for vs in operands)),) * len(routes)
+        return tuple(map(fn, *operands))
 
     def go(n):
         if isinstance(n, Num):
-            return QPolynomial.constant(n.value)
+            return (QPolynomial.constant(n.value),) * len(routes)
         if isinstance(n, Name):
-            return _atom_poly(n.ident)
+            return (_atom_poly(n.ident),) * len(routes)
         if isinstance(n, Neg):
-            return -go(n.operand)
+            return each(operator.neg, go(n.operand))
         if isinstance(n, BinOp):
             # The parser builds flat sums and products as left-deep chains:
             # walk the left spine without recursion, then fold left to right.
@@ -293,25 +307,25 @@ def lower(node, config: StarConfig = DEFAULT_CONFIG,
                 n = n.left
             acc = go(n)
             for link in reversed(spine):
-                acc = _CHAIN_OPS[link.op](acc, go(link.right))
+                acc = each(_CHAIN_OPS[link.op], acc, go(link.right))
             return acc
         if isinstance(n, Pow):
-            return go(n.base) ** n.exponent
+            return each(lambda base: base ** n.exponent, go(n.base))
         if isinstance(n, Call):
             args = [go(arg) for arg in n.args]
             if n.func == "conj":
-                return args[0].conjugate()
-            if n.func == "star":
-                return star_fn(args[0], args[1], config)
-            if n.func == "comm":
-                return comm_fn(*args, config)
-            if n.func == "assoc":
-                return assoc_fn(*args, config)
-            # pb_mn
-            return bracket_fn(args[0], args[1], n.func[3:])
+                return each(QPolynomial.conjugate, *args)
+            kind, last = ("pb", n.func[3:]) if n.func.startswith("pb_") else (n.func, config)
+            return tuple(calls[kind](*values, last) for calls, values in zip(routes, zip(*args)))
         raise TypeError(f"unexpected node {n!r}")
 
     return go(node)
+
+
+def lower(node, config: StarConfig = DEFAULT_CONFIG,
+          backend: str = "engine") -> QPolynomial:
+    """Evaluate a syntax tree to a polynomial through one backend (see `lower_routes`)."""
+    return lower_routes(node, config, (backend,))[0]
 
 
 def evaluate_text(text: str, config: StarConfig = DEFAULT_CONFIG,

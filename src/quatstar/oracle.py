@@ -27,7 +27,8 @@ exponent is guarded on every term an order forms, as the engine's is.
 
 The same module hosts the seeded random generators used by the fuzz
 harness and the randomized identity checks: rational values have
-numerators in [-9, 9] and denominators in [1, 4].
+numerators in [-9, 9] and denominators in [1, 4], and a random quaternion
+is four such draws, over the product of their denominators, reduced once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from random import Random
 
 from .poly import (DEGREE_GUARD, FIELD_MASK, N_VARS, NU, POSITION_FIELDS, VAR_INDEX, ZERO_MONO,
                    QPolynomial, add_term, mono_mul, var_mono)
-from .quat import Quaternion
+from .quat import Quaternion, _quat
 from .star import PAIRS, StarConfig, ThetaSpec, DEFAULT_CONFIG, pair_indices
 
 
@@ -165,7 +166,12 @@ def random_rational(rng: Random) -> Fraction:
 
 
 def random_quaternion(rng: Random) -> Quaternion:
-    return Quaternion(*(random_rational(rng) for _ in range(4)))
+    """Four random_rational draws as one quaternion, formed without Fractions."""
+    draw = rng.randint
+    n0, d0, n1, d1, n2, d2, n3, d3 = (draw(-9, 9), draw(1, 4), draw(-9, 9), draw(1, 4),
+                                      draw(-9, 9), draw(1, 4), draw(-9, 9), draw(1, 4))
+    return _quat(n0 * d1 * d2 * d3, n1 * d0 * d2 * d3, n2 * d0 * d1 * d3, n3 * d0 * d1 * d2,
+                 d0 * d1 * d2 * d3)
 
 
 def random_monomial(rng: Random, max_position_degree: int = 4,

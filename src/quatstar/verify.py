@@ -8,9 +8,10 @@ computed from the engine value:
     MISMATCH        it does not (a witness point or subterm is attached)
     NOT_COMPARABLE  reserved for claims with no well-defined encoded value
 
-A polynomial (in)equation is evaluated twice, through the star engine and
-through the independent oracle; the two must agree or the run aborts
-(OracleDivergenceError), an internal bug, never a statement about the
+A polynomial (in)equation is evaluated through the star engine and through
+the independent oracle, in one walk: every star call runs on each route, and
+each node above none is formed once for both.  The two must agree or the run
+aborts (OracleDivergenceError), an internal bug, never a statement about the
 source material.  The 15 quaternion-level records (V1-V3, the V4 algebra
 laws and V4.fn_assoc) use `Quaternion`/`QPolynomial` arithmetic alone and
 never reach the oracle.  An existential claim searches fixed candidates
@@ -46,7 +47,7 @@ from .quat import Quaternion, GROUP_ELEMENTS, ONE, quat_text
 from .poly import QPolynomial, VARIABLES
 from .star import PAIRS, star, star_difference
 from . import oracle as _oracle
-from .expr import evaluate_text, lower, parse_expression
+from .expr import evaluate_text, lower_routes, parse_expression
 
 ENGINE_VERSION = "quatstar 0.1.0"
 
@@ -90,10 +91,8 @@ class DiscrepancyReport:
 # --- shared evaluation plumbing ----------------------------------------------
 
 def _checked_eval(text: str) -> QPolynomial:
-    """Evaluate expression text through both routes; they must agree."""
-    node = parse_expression(text)
-    engine = lower(node, backend="engine")
-    oracle = lower(node, backend="oracle")
+    """Evaluate expression text through both routes, in one walk; they must agree."""
+    engine, oracle = lower_routes(parse_expression(text))
     if engine != oracle:
         raise OracleDivergenceError(
             f"engine and oracle disagree on {text!r}: "

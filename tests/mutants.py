@@ -38,6 +38,8 @@ SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: as
          ast.And: ast.Or, ast.Or: ast.And}
 
 V1_REALS = "(1, -1, 2, Fraction(-3, 2), 0)"
+V1_REAL_RECORD = ("add(_quat_forall, 'V1.real', 'Eq. (3)', 'conj(q1) = q1 for real q1', {}, "
+                  "_eq_check(lambda x: x.conj(), lambda x: x, 'conj(q1)', 'q1'), reals_only=True)")
 
 # (module, function, text before, text after) of the reviewed equivalent mutants.
 EQUIVALENT = {
@@ -49,10 +51,27 @@ EQUIVALENT = {
         (V1_REALS, "(2, -1, 2, Fraction(-3, 2), 0)"), ("-1", "-2"),
         (V1_REALS, "(1, -1, 3, Fraction(-3, 2), 0)"), ("-3", "-4"),
         ("Fraction(-3, 2)", "Fraction(-3, 3)"), (V1_REALS, "(1, -1, 2, Fraction(-3, 2), 1)")]),
+    # _arg_tuples reads no arity when reals_only is set.
+    ("verify.py", "_registry", V1_REAL_RECORD.format(1), V1_REAL_RECORD.format(2)),
+    # Every nonzero quaternion's left and right inverses agree, so both
+    # products are 1 or neither is.
+    ("verify.py", "_registry.inverse_check", "left == ONE and right == ONE",
+     "left == ONE or right == ONE"),
     # A packed monomial of total degree EXPONENT_LIMIT + 1 has a nonzero
-    # exponent field, so it never equals the guard; mono_mul decides.
+    # exponent field, so it never equals the guard; mono_mul decides.  (A
+    # signed-unit key is a monomial shifted by 2 over its unit bits.)
     ("poly.py", "mul_unit_rows", "mono >= guard", "mono > guard"),
-    ("oracle.py", "_add_product", "mono >= DEGREE_GUARD", "mono > DEGREE_GUARD"),
+    ("poly.py", "add_partial_unit_rows", "moved >= guard", "moved > guard"),
+    ("poly.py", "mono_mul", "product >= DEGREE_GUARD", "product > DEGREE_GUARD"),
+    *((module, function, "mono >= DEGREE_GUARD", "mono > DEGREE_GUARD") for module, function in [
+        ("poly.py", "mul_rows"), ("poly.py", "add_partial_rows"), ("poly.py", "QPolynomial.__mul__"),
+        ("oracle.py", "_add_product")]),
+    # The exp == 1 branch comes first, and quat_text signs only nonzero values.
+    ("poly.py", "mono_text", "exp > 1", "exp >= 1"),
+    ("quat.py", "quat_text", "value < 0", "value <= 0"),
+    # The early return only shortens the loop: cap 0 stops it before its
+    # first order, and with no steps its first order has no pair.
+    ("oracle.py", "_order_sums", "cap == 0 or not steps", "cap == 0 and (not steps)"),
     # random() returns exactly 0.3 with probability 2**-53 per draw.
     ("oracle.py", "random_monomial", "rng.random() < 0.3", "rng.random() <= 0.3"),
 }

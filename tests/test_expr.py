@@ -1,17 +1,19 @@
 """Expression grammar: tokens, precedence, calls, errors, round trips."""
 
 import importlib
+import inspect
 from fractions import Fraction
 
 import pytest
 
 import quatstar.oracle
-from quatstar import cli
+from quatstar import cli, verify
 from quatstar.errors import DomainError, ParseError
-from quatstar.expr import evaluate_text, lower, parse_expression, tokenize
+from quatstar.expr import evaluate_text, lower, lower_routes, parse_expression, tokenize
 from quatstar.poly import QPolynomial, gen_q, gen_qbar
 from quatstar.quat import I, K
 from quatstar.star import StarConfig, ThetaSpec, star
+from test_golden import CONFIGS
 
 A = QPolynomial.variable("a")
 B = QPolynomial.variable("b")
@@ -114,6 +116,34 @@ def test_oracle_route_takes_no_star_kernel(monkeypatch):
             evaluate_text(text)
 
 
+def _claim_texts():
+    """Both sides of every polynomial claim in the catalogue, and V11.4's pool."""
+    texts = set()
+    for entry in verify._registry().values():
+        bound = inspect.signature(entry.func).bind(*entry.args, **entry.keywords).arguments
+        if entry.func is verify._poly_claim:
+            texts |= {bound["lhs"], bound["rhs"]}
+        elif entry.func is verify._assoc_search:
+            texts |= set(bound["pool"])
+    return sorted(texts)
+
+
+def test_one_walk_equals_a_lower_per_route():
+    nodes = [parse_expression(text) for text in _claim_texts()]
+    assert len(nodes) == 128
+    for config in CONFIGS:
+        for node in nodes:
+            assert lower_routes(node, config) == (lower(node, config, "engine"),
+                                                  lower(node, config, "oracle"))
+
+
+def test_one_walk_shares_only_what_no_star_call_reaches():
+    engine, oracle = lower_routes(parse_expression("q^2 qbar - conj(3 i a)"))
+    assert engine is oracle
+    engine, oracle = lower_routes(parse_expression("star(q, qbar) + q^2"))
+    assert engine is not oracle and engine == oracle
+
+
 def test_config_threads_through_calls():
     cfg = StarConfig(theta=ThetaSpec.zero())
     assert evaluate_text("star(q, q)", config=cfg) == gen_q() * gen_q()
@@ -187,6 +217,12 @@ def test_exactly_one_hundred_nesting_levels_parse():
     with pytest.raises(ParseError) as err:
         parse_expression("(" * 101 + "a" + ")" * 101)
     assert "nested deeper than 100 levels" in str(err.value)
+    # The depth a closed group reached is given back: a sibling group after it
+    # starts again from the top level.
+    assert parse_expression("(a) + " + "(" * 100 + "a" + ")" * 100) == parse_expression("a + a")
+    with pytest.raises(ParseError, match="nested deeper than 100 levels") as err:
+        parse_expression("(a) + " + "(" * 101 + "a" + ")" * 101)
+    assert err.value.column == 107
 
 
 def test_parse_error_wrong_arity():

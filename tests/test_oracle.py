@@ -17,7 +17,7 @@ from quatstar.oracle import (poisson_bracket_oracle, random_qpoly, random_quater
 from quatstar.poly import QPolynomial, add_term, gen_q, gen_qbar
 from quatstar.quat import Quaternion
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec, poisson_bracket,
-                           star, star_order_term)
+                           star, star_difference, star_order_term)
 from oracle_order import star_oracle_order
 from test_golden import DEEP_THETAS
 
@@ -210,6 +210,31 @@ def test_random_generators_are_deterministic():
     assert a == b
     assert random_quaternion(Random(9)) == random_quaternion(Random(9))
     assert random_rational(Random(9)) == random_rational(Random(9))
+
+
+def test_random_quaternion_is_four_random_rationals():
+    for seed in range(1000):
+        rng, reference = Random(seed), Random(seed)
+        x = random_quaternion(rng)
+        y = Quaternion(*(random_rational(reference) for _ in range(4)))
+        assert (x.n0, x.n1, x.n2, x.n3, x.den) == (y.n0, y.n1, y.n2, y.n3, y.den), seed
+        assert rng.getstate() == reference.getstate(), seed
+
+
+@pytest.mark.parametrize("config", [StarConfig(), StarConfig(theta=RATIONAL_THETA),
+                                    StarConfig(nu=Fraction(-3, 2), order_cap=2)],
+                         ids=["formal", "numeric-theta", "numeric-nu-capped"])
+def test_star_routes_leave_their_operands_unchanged(config):
+    # Expression lowering hands one polynomial object to both routes.
+    rng = Random(43)
+    for _ in range(4):
+        f, g, h = (random_qpoly(rng, 3, 4, True) + _cubic(rng) for _ in range(3))
+        texts = [p.canonical_text() for p in (f, g, h)]
+        star(f, g, config), star(f, f, config), star_oracle(f, g, config), star_oracle(g, g, config)
+        star_difference((f, g), (g, h), config)
+        for pair in PAIRS:
+            poisson_bracket(f, g, pair), poisson_bracket_oracle(f, g, pair)
+        assert [p.canonical_text() for p in (f, g, h)] == texts
 
 
 def test_random_rational_bounds():

@@ -130,6 +130,11 @@ def test_powers():
     assert (A * A) ** (EXPONENT_LIMIT // 2) == A ** EXPONENT_LIMIT
     with pytest.raises(DomainError):
         (A * A) ** (EXPONENT_LIMIT // 2 + 1)
+    # The guard reads the largest exponent, not the total degree: b^2 reaches
+    # the limit while a stays at half of it.
+    assert str((A * B ** 2) ** (EXPONENT_LIMIT // 2)) == "a^500000 b^1000000"
+    with pytest.raises(DomainError):
+        (A * B ** 2) ** (EXPONENT_LIMIT // 2 + 1)
     assert str(evaluate_text("(a^500000 + i b)^2")) == "a^1000000 + 2 i a^500000 b - b^2"
     assert (str(evaluate_text("(a^333333 + j c)^3"))
             == "a^999999 + 3 j a^666666 c - 3 a^333333 c^2 - j c^3")
@@ -395,6 +400,7 @@ def test_evaluate():
 
 def test_degrees():
     assert QPolynomial.zero().total_degree() == -1
+    assert QPolynomial.zero().position_degree() == -1
     assert QPolynomial.constant(3).total_degree() == 0
     p = A * A * B + NU * C
     assert p.total_degree() == 3

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -10,11 +11,12 @@ import pytest
 import sympy
 from sympy.algebras.quaternion import Quaternion as SympyQuaternion
 
-from quatstar.errors import UnknownIdentityError
+from quatstar.errors import OracleDivergenceError, UnknownIdentityError
+import quatstar.oracle
 import quatstar.verify as verify
-from quatstar.expr import Call, evaluate_text, lower, parse_expression
-from quatstar.oracle import random_qpoly
-from quatstar.poly import QPolynomial
+from quatstar.expr import Call, evaluate_text, lower, lower_routes, parse_expression
+from quatstar.oracle import random_qpoly, star_oracle
+from quatstar.poly import QPolynomial, gen_q, gen_qbar
 from quatstar.quat import UNITS, Quaternion
 from quatstar.verify import (
     _arg_tuples,
@@ -149,6 +151,38 @@ def test_point_witness_of_equal_sides_is_the_zero_difference():
     # 40 seeded random points all fail and the difference is the witness.
     qq = evaluate_text("q q")
     assert _point_witness(qq, qq, "q q", "q q") == "difference = 0"
+
+
+def test_checked_eval_forms_a_node_above_no_star_call_once(monkeypatch):
+    expected, powers = evaluate_text("q^3 + star(q, qbar)"), []
+    power = QPolynomial.__pow__
+    monkeypatch.setattr(QPolynomial, "__pow__", lambda self, n: powers.append(n) or power(self, n))
+    assert verify._checked_eval("q^3 + star(q, qbar)") == expected
+    assert powers == [3]
+
+
+def test_a_patched_oracle_star_still_diverges_above_the_star_call(monkeypatch):
+    # The square and the sum over a star call are formed on each route, so an
+    # oracle product off by one term reaches the comparison, squared.
+    extra = QPolynomial.variable("Theta_ab")
+    patched = star_oracle(gen_q(), gen_qbar()) + extra
+    monkeypatch.setattr(quatstar.oracle, "star_oracle",
+                        lambda f, g, config: star_oracle(f, g, config) + extra)
+    text = "star(q, qbar)^2 + q"
+    engine, oracle = lower_routes(parse_expression(text))
+    assert oracle == patched ** 2 + gen_q()
+    assert engine == evaluate_text(text) != oracle
+    with pytest.raises(OracleDivergenceError, match="engine and oracle disagree") as err:
+        verify._checked_eval(text)
+    assert str(err.value).endswith(f"oracle {oracle.canonical_text()}")
+
+
+def test_triangle_check_accepts_equality_in_the_squared_condition():
+    # At q1 = q2 = 1/4, gap = 1/8 and gap * gap = 1/64 = 4 |q1|^2 |q2|^2, while
+    # gap + gap = 1/4 exceeds it: the check must compare the square.
+    check = verify._registry()["V2.triangle"].args[4]
+    quarter = Quaternion(Fraction(1, 4))
+    assert check((quarter, quarter)) is None
 
 
 @pytest.mark.parametrize("rid", ["V3.unit", "V3.inverse"])
