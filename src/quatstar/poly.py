@@ -196,13 +196,14 @@ def add_partial_rows(acc: dict, rows: dict, idx: int, k: int, shift: int = ZERO_
 
 
 def add_rows(data: dict, rows, den: int) -> dict:
-    """Add each nonzero row over the positive int `den` into the term dict
-    `data` as a reduced Quaternion, the one way back from rows (both row
-    products write integer rows) to terms; returns `data`."""
-    for mono, (n0, n1, n2, n3) in rows:
-        if n0 or n1 or n2 or n3:
-            add_term(data, mono, _quat(n0, n1, n2, n3, den))
-    return data
+    """The term dict of `data` plus each nonzero row over the positive int
+    `den` as a reduced Quaternion, the one way back from rows (both row
+    products write integer rows) to terms: a new dict, the rows' terms first."""
+    terms = {mono: _quat(n0, n1, n2, n3, den) for mono, (n0, n1, n2, n3) in rows
+             if n0 or n1 or n2 or n3}
+    for mono, coeff in data.items():
+        add_term(terms, mono, coeff)
+    return terms
 
 
 def _signed_unit(coeff: Quaternion):

@@ -42,9 +42,10 @@ f and D_m D^alpha' g and its c that of alpha' over k den, k the new
 exponent of m.  One rule decides a child: alpha + e_m exists iff d_m
 d^alpha f != 0 and D_m D^alpha g != 0, so a series may end before top.
 Each alpha adds one row product to one accumulator of integer rows that
-`add_rows` turns back into Quaternions once; `star_difference`, the one
-difference walk, starts both series in one level, so terms cancel as ints,
-across orders too (an associator's inner products carry nu).
+`add_rows` turns back into Quaternions once; a difference starts both series
+in one level, so terms cancel as ints across orders.  A child's rows stay in
+its operand's tree, so `star_differences` differentiates an operand that
+recurs across its batch once (V11.4's 125 associators have 30 operands).
 
 One walk serves both operand formats, chosen per call by one rule:
 signed-unit rows iff every coefficient of every operand has exactly one
@@ -71,7 +72,7 @@ from .poly import (NU, PAIRS, VAR_INDEX, ZERO_MONO, QPolynomial, add_partial_row
                    mul_unit_rows, var_mono)
 
 _PAIR_INDICES = {pair: (VAR_INDEX[pair[0]], VAR_INDEX[pair[1]]) for pair in PAIRS}
-_PAIR_THETA = {pair: VAR_INDEX["Theta_" + pair] for pair in PAIRS}
+_PAIR_THETA = {pair: var_mono(VAR_INDEX["Theta_" + pair]) for pair in PAIRS}
 
 
 def pair_indices(pair: str) -> tuple[int, int]:
@@ -151,15 +152,15 @@ def _steps(theta: ThetaSpec, nu):
     int, over den = the lcm of Theta's denominators times nu's denominator
     times 2.  nu = 0 or zero Theta leaves the table empty."""
     formal = theta.is_formal()
-    nu_mono, nu = (var_mono(NU), 1) if nu == "formal" else (ZERO_MONO, nu)
+    nu_mono, nu = (var_mono(NU), 1) if isinstance(nu, str) else (ZERO_MONO, nu)
     theta_den = 1 if formal else lcm(*(value.denominator for value in theta.values))
     steps = [[] for _ in range(4)]
-    for pos, pair in enumerate(PAIRS):
+    for pair, value in zip(PAIRS, theta.values or PAIRS):
         m, n = _PAIR_INDICES[pair]
         if formal:
-            mono, value = mono_mul(var_mono(_PAIR_THETA[pair]), nu_mono), nu.numerator
+            mono, value = mono_mul(_PAIR_THETA[pair], nu_mono), nu.numerator
         else:
-            mono, value = nu_mono, int(theta.values[pos] * theta_den) * nu.numerator
+            mono, value = nu_mono, value.numerator * (theta_den // value.denominator) * nu.numerator
         if value:
             steps[m].append((n, mono, value))
             steps[n].append((m, mono, -value))
@@ -168,9 +169,11 @@ def _steps(theta: ThetaSpec, nu):
 
 def _walk(acc, kernel, steps, den, level, top, first_order):
     """Add to the integer rows `acc` c/(alpha! den^s) times (d^alpha f)(D^alpha
-    g) for every alpha of order first_order <= s <= top.  `level` starts with
-    one entry (f rows, g rows, c, 0, 0) per series, top! den^top dividing c;
-    an entry holds alpha's rows, its c, its last direction m and alpha_m.  A
+    g) for every alpha of order first_order <= s <= top.  `level`, replaced in
+    place order by order, starts with one entry (f node, g node, c, 0, 0) per
+    series, top! den^top dividing c; an entry holds alpha's nodes, its c, its
+    last direction m and alpha_m.  A node is [child 0, .., child 3, rows], a
+    child (d_m left, D_m right) formed on first use and kept, {} if zero.  A
     series ends where its children are all zero, the walk at top or when its
     level empties.  `kernel` is the rows' format: its partial, its product
     into integer rows, and the entry a partial's sum that cancels leaves."""
@@ -179,37 +182,51 @@ def _walk(acc, kernel, steps, den, level, top, first_order):
     while True:
         if s >= first_order:
             for df, dg, c, _, _ in level:
-                product(acc, df.items(), dg.items(), c)
+                product(acc, df[4].items(), dg[4].items(), c)
         if s == top:
             return
         s += 1
         grown = []
         for df, dg, c, last, k in level:
             for m in range(last, 4):
-                df_m = {}
-                partial(df_m, df, m, 1)
+                if (df_m := df[m]) is None:
+                    partial(rows := {}, df[4], m, 1)
+                    df_m = df[m] = rows and [None, None, None, None, rows]
                 if not df_m:
                     continue
-                dg_m = {}
-                for n, mono, signed in steps[m]:
-                    partial(dg_m, dg, n, signed, mono)
-                dg_m = {key: row for key, row in dg_m.items() if row != cancelled}
+                if (dg_m := dg[m]) is None:
+                    rows = {}
+                    for n, mono, signed in steps[m]:
+                        partial(rows, dg[4], n, signed, mono)
+                    rows = {key: row for key, row in rows.items() if row != cancelled}
+                    dg_m = dg[m] = rows and [None, None, None, None, rows]
                 if dg_m:
                     k_m = k + 1 if m == last else 1
                     grown.append((df_m, dg_m, c // (k_m * den), m, k_m))
-        level = grown
+        level[:] = grown
         if not level:
             return
 
 
-def _order_rows(pairs, theta, nu, max_order, first_order=0):
+def _roots(memo, x, unit):
+    """(left root, right root, den) of x on signed-unit rows if `unit`, else on
+    integer rows (None if x has none), made once per `memo`, which holds x:
+    its key id(x) cannot pass to another operand while the memo lives."""
+    if (hit := memo.get(key := (id(x), unit))) is None:
+        rows = x.unit_rows() if unit else x.rows()
+        hit = memo[key] = x, rows and ([None] * 4 + [rows[0]], [None] * 4 + [rows[0]], rows[1])
+    return hit[1]
+
+
+def _order_rows(pairs, theta, nu, max_order, first_order=0, memo=None):
     """The term dict of sum nu^s C_s[f, g] over first_order <= s <= max_order
     (None: until the series ends) for the first pair (f, g) of `pairs`, minus
     that of the second pair if any.  Its bound `top` is decided before any row
     is formed: the cap (0 for an empty step table), else the larger over the
     pairs of the smaller position degree.  Past top it is zero, at top 0 the
     point product.  Otherwise one row format serves every operand (see the
-    module), and both series walk in one level into one accumulator."""
+    module), and both series walk in one level into one accumulator.  A
+    `memo` (`_roots`) shares operand trees across calls of one Theta and nu."""
     steps, den = _steps(theta, nu)
     cap = 0 if not any(steps) else inf if max_order is None else max_order
     top = min(cap, max(min(f.position_degree(), g.position_degree()) for f, g in pairs))
@@ -217,21 +234,22 @@ def _order_rows(pairs, theta, nu, max_order, first_order=0):
         return {}
     if top == 0:
         return dict(reduce(sub, [f * g for f, g in pairs]).items())
+    memo = {} if memo is None else memo
     operands = [x for pair in pairs for x in pair]
-    rows = list(takewhile(bool, map(QPolynomial.unit_rows, operands)))
-    if len(rows) == len(operands):
+    roots = list(takewhile(bool, (_roots(memo, x, True) for x in operands)))
+    if len(roots) == len(operands):
         kernel, data = (add_partial_unit_rows, mul_unit_rows, 0), {}
     else:
         kernel = add_partial_rows, mul_rows, (0, 0, 0, 0)
         data = dict(reduce(sub, [f * g for f, g in pairs]).items()) if first_order == 0 else {}
         first_order = max(first_order, 1)
-        rows = [x.rows() for x in operands]
-    dens = [f_den * g_den for (_, f_den), (_, g_den) in zip(rows[::2], rows[1::2])]
+        roots = [_roots(memo, x, False) for x in operands]
+    dens = [f_den * g_den for (_, _, f_den), (_, _, g_den) in zip(roots[::2], roots[1::2])]
     total = factorial(top) * den ** top * lcm(*dens)
-    level = [(f_rows, g_rows, sign * total // d, 0, 0) for sign, (f_rows, _), (g_rows, _), d
-             in zip((1, -1), rows[::2], rows[1::2], dens)]
-    acc = {}
-    _walk(acc, kernel, steps, den, level, top, first_order)
+    level = [(f_node, g_node, sign * total // d, 0, 0) for sign, (f_node, _, _), (_, g_node, _), d
+             in zip((1, -1), roots[::2], roots[1::2], dens)]
+    del memo, roots  # unless a batch holds them, the trees die level by level
+    _walk(acc := {}, kernel, steps, den, level, top, first_order)
     return add_rows(data, acc.items(), total)
 
 
@@ -251,11 +269,21 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
     return QPolynomial.from_terms(_order_rows([(f, g)], config.theta, 1, cap, s))
 
 
+def star_differences(candidates, config: StarConfig = DEFAULT_CONFIG):
+    """Yield f1 * g1 - f2 * g2 for each ((f1, g1), (f2, g2)) of `candidates`,
+    lazily, each one walk.  While the generator lives it holds each operand it
+    met, per row format, with its rows and every derivative a walk formed, so
+    an operand repeated across candidates is converted and differentiated once."""
+    memo = {}
+    for first, second in candidates:
+        yield QPolynomial.from_terms(
+            _order_rows([first, second], config.theta, config.nu, config.order_cap, memo=memo))
+
+
 def star_difference(first, second, config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """f1 * g1 - f2 * g2 for first = (f1, g1), second = (f2, g2), both series
     in one accumulator, so terms cancel as ints before any Quaternion is built."""
-    return QPolynomial.from_terms(
-        _order_rows([first, second], config.theta, config.nu, config.order_cap))
+    return next(star_differences([(first, second)], config))
 
 
 def star_commutator(f: QPolynomial, g: QPolynomial,

@@ -19,8 +19,9 @@ built from the source's own operands, screening each with the engine alone;
 MATCH means a witness was found, and only that witness is re-checked through
 both routes, so a search that ends in MISMATCH (V11.4) rests on the engine
 here; the test suite's third route re-derives a seeded sample of its
-candidates.  V11.4 lowers its pool once and forms the 25 products star(f, g)
-once, so each candidate (f, g, h) is screened by one `star_difference`.
+candidates.  V11.4 lowers its pool once, forms the 25 products star(f, g)
+once and screens its 125 candidates (f, g, h) as one `star_differences`
+batch, which converts and differentiates each of its 30 operands once.
 
 The registry is data: each id maps to a `functools.partial` of a
 module-level record builder with the record's arguments, so a claim's texts
@@ -45,7 +46,7 @@ from random import Random
 from .errors import OracleDivergenceError, UnknownIdentityError
 from .quat import Quaternion, GROUP_ELEMENTS, ONE, quat_text
 from .poly import QPolynomial, VARIABLES
-from .star import PAIRS, star, star_difference
+from .star import PAIRS, star, star_differences
 from . import oracle as _oracle
 from .expr import evaluate_text, lower_routes, parse_expression
 
@@ -180,12 +181,12 @@ def _assoc_candidates(pool):
 
 def _assoc_search(rid, loc, claim, pool):
     """`_exists_search` over `_assoc_candidates(pool)`, with each pool text lowered
-    and each star(f, g) formed once: a screen is one outer `star_difference`."""
+    and each star(f, g) formed once: the screens are one `star_differences` batch."""
     values = [evaluate_text(text) for text in pool]
     stars = [[star(f, g) for g in values] for f in values]
-    indices = itertools.product(range(len(pool)), repeat=3)
-    separating = (c for (x, y, z), c in zip(indices, _assoc_candidates(pool))
-                  if not star_difference((stars[x][y], values[z]), (values[x], stars[y][z])).is_zero())
+    screens = star_differences(((stars[x][y], values[z]), (values[x], stars[y][z]))
+                               for x, y, z in itertools.product(range(len(pool)), repeat=3))
+    separating = (c for c, value in zip(_assoc_candidates(pool), screens) if not value.is_zero())
     return _search_record(rid, loc, claim, separating, len(pool) ** 3)
 
 

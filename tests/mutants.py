@@ -8,7 +8,9 @@ time there with `ast.unparse`, and runs tier-1 with `-x` in one child process
 at a time, each under a timeout and an address-space cap.  The unmutated
 `ast.unparse` output of every sampled module runs first and must pass.
 
-A mutant is killed when tier-1 fails or times out.  A survivor listed in
+A mutant is killed when tier-1 fails or times out; its line ends with the
+first failing test id, or `timeout`, so a kill by a timing bound can be told
+from one by a check of the result.  A survivor listed in
 EQUIVALENT was reviewed and behaves as the original on every input; any other
 survivor makes the script exit 1.  pytest does not collect this file.  From
 the repository root:
@@ -128,19 +130,25 @@ def _limit_child():
 
 
 def _tier1(copy):
-    """'passed', 'failed' or 'timeout' for tier-1 in `copy`, stopping at the
-    first failure."""
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+    """(outcome, first) for tier-1 in `copy`, stopping at the first failure:
+    ('passed', None), ('failed', the first failing test id, or pytest's exit
+    code if it names none) or ('timeout', 'timeout')."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
                "--continue-on-collection-errors"]
     try:
         # No bytecode cache: a mutant can keep its module's size and mtime second.
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        done = subprocess.run(command, cwd=copy, env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        done = subprocess.run(command, cwd=copy, env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                               timeout=TIMEOUT_S, preexec_fn=_limit_child)
     except subprocess.TimeoutExpired:
-        return "timeout"
-    return "passed" if done.returncode == 0 else "failed"
+        return "timeout", "timeout"
+    if done.returncode == 0:
+        return "passed", None
+    # pytest's short summary: "FAILED <id> - <message>" or "ERROR <id> ...".
+    failed = [line.split(" ", 1)[1].split(" - ")[0] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return "failed", failed[0] if failed else f"exit {done.returncode}"
 
 
 def main(argv=None) -> int:
@@ -160,9 +168,9 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__"))
         for module in modules:
             (copy / PACKAGE / module).write_text(ast.unparse(ast.parse(sources[module])))
-        baseline = _tier1(copy)
+        baseline, first = _tier1(copy)
         if baseline != "passed":
-            print(f"unmutated modules: tier-1 {baseline}; no mutant run")
+            print(f"unmutated modules: tier-1 {baseline} ({first}); no mutant run")
             return 2
         counts = {"killed": 0, "equivalent": 0, "survived": 0}
         for module, index in sample:
@@ -170,7 +178,7 @@ def main(argv=None) -> int:
             target = copy / PACKAGE / module
             original = target.read_text()
             target.write_text(text)
-            outcome = _tier1(copy)
+            outcome, first = _tier1(copy)
             target.write_text(original)
             if outcome != "passed":
                 verdict = "killed"
@@ -180,7 +188,7 @@ def main(argv=None) -> int:
                 verdict = "survived"
             counts[verdict] += 1
             print(f"{verdict:<10} {module} {name}: {before} -> {after}"
-                  + (" (timeout)" if outcome == "timeout" else ""), flush=True)
+                  + (f" ({first})" if first else ""), flush=True)
     print(", ".join(f"{count} {verdict}" for verdict, count in counts.items()))
     return 1 if counts["survived"] else 0
 

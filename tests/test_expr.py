@@ -212,6 +212,14 @@ def test_parse_error_function_without_arguments_names_the_token():
     assert "(got '+')" in str(err.value)
 
 
+@pytest.mark.parametrize("text, token", [("(a,", ","), ("(a", "end of input")])
+def test_an_unclosed_group_names_the_token_it_met(text, token):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert (err.value.column, err.value.token, err.value.expected) == (3, token, ("')'",))
+    assert f"(got {token!r})" in str(err.value)
+
+
 def test_exactly_one_hundred_nesting_levels_parse():
     assert parse_expression("(" * 100 + "a" + ")" * 100) == parse_expression("a")
     with pytest.raises(ParseError) as err:

@@ -19,7 +19,8 @@ from quatstar.poly import POSITION_VARS, QPolynomial, add_rows, gen_q, gen_qbar
 from quatstar.quat import UNITS, I, J, K, Quaternion
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec,
                            associator, pair_indices, poisson_bracket, star,
-                           star_commutator, star_difference, star_order_term)
+                           star_commutator, star_difference, star_differences,
+                           star_order_term)
 from oracle_order import star_oracle_order
 
 Q = gen_q()
@@ -444,6 +445,36 @@ def test_star_difference_is_the_difference_of_two_stars(monkeypatch, config, ope
     monkeypatch.setattr(importlib.import_module("quatstar.star"), other, other_format)
     assert [star_difference(first, second, config) for first, second in cases] == expected
     assert not all(value.is_zero() for value in expected)
+
+
+@pytest.mark.parametrize("config", DIFFERENCE_CONFIGS, ids=[
+    f"{route}-cap-{cap}" for route in ("formal", "numeric-theta", "numeric-nu")
+    for cap in (None, 0, 1, 2)])
+@pytest.mark.parametrize("operand", [_one_component_operand, _dense_operand],
+                         ids=["signed-unit", "integer"])
+def test_a_batch_is_its_differences_one_by_one(config, operand):
+    # Seeded candidates over five operands, so each recurs across them in
+    # both roles, plus one whose two series stop at order 0 (a constant on
+    # each side).  The batch keeps every operand's rows and derivatives, and
+    # gives what star_difference gives candidate by candidate.  Fresh equal
+    # copies, made for one candidate and dropped after it, give the same:
+    # the batch keys an operand by id and holds it, so a freed copy's id
+    # never reaches another operand's derivatives.
+    rng = Random(2033)
+    x = [operand(rng) for _ in range(4)] + [_const(Quaternion(0, 0, Fraction(3, 2)))]
+    cases = [((x[a], x[b]), (x[c], x[d])) for a, b, c, d in (
+        rng.choices(range(5), k=4) for _ in range(16))] + [((x[4], x[0]), (x[1], x[4]))]
+    expected = [star_difference(first, second, config) for first, second in cases]
+    assert expected[-1] == x[4] * x[0] - x[1] * x[4]
+    assert list(star_differences(cases, config)) == expected
+    assert not all(value.is_zero() for value in expected)
+
+    def copies():
+        for pairs in cases:
+            yield tuple(tuple(QPolynomial.from_terms(dict(p.items())) for p in pair)
+                        for pair in pairs)
+
+    assert list(star_differences(copies(), config)) == expected
 
 
 def _position_monomials(max_degree):

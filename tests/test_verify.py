@@ -1,6 +1,7 @@
 """The identity verifier: record statuses, reports, rendering, round trips."""
 
 import functools
+import importlib
 import itertools
 import json
 from fractions import Fraction
@@ -232,12 +233,13 @@ def test_v11_4_records_the_first_candidate_its_screen_separates(monkeypatch):
     # that uses it as an inner product; the first of them in fixed order is
     # the 25th, (q, j q, j q), and the screen stops there.  Its texts are
     # re-checked through both routes, where assoc is zero, as an inequation.
+    # The batch draws a candidate only when its next screen is asked for.
     jq = evaluate_text("j q")
-    real_star, real_difference, screened = verify.star, verify.star_difference, []
+    real_star, real_differences, screened = verify.star, verify.star_differences, []
     monkeypatch.setattr(verify, "star", lambda f, g: real_star(f, g) + jq * jq
                         if f == g == jq else real_star(f, g))
-    monkeypatch.setattr(verify, "star_difference",
-                        lambda *args: screened.append(args) or real_difference(*args))
+    monkeypatch.setattr(verify, "star_differences", lambda candidates: real_differences(
+        screened.append(candidate) or candidate for candidate in candidates))
     record = run_identity("V11.4")
     desc, lhs, rhs = verify._assoc_candidates(verify._registry()["V11.4"].args[3])[24]
     assert (desc, len(screened)) == ("f = q, g = j q, h = j q", 25)
@@ -247,6 +249,26 @@ def test_v11_4_records_the_first_candidate_its_screen_separates(monkeypatch):
     assert record == expected
     assert record.witness == ("f = q, g = j q, h = j q: assoc(q, j q, j q) and 0 are identical "
                               "as polynomials; the difference is 0 everywhere")
+
+
+def test_v11_4_converts_and_differentiates_each_screen_operand_once(monkeypatch):
+    # The 125 screens have 30 distinct operands (the 5 pool values and the 25
+    # inner products), all on signed-unit rows.  The batch converts each once
+    # and forms each derivative once.  Conversions are counted after the last
+    # inner product.
+    star_module = importlib.import_module("quatstar.star")
+    converted, partials, real_star = [], [], verify.star
+    for name in ("unit_rows", "rows"):
+        monkeypatch.setattr(QPolynomial, name, lambda self, name=name, real=getattr(
+            QPolynomial, name): converted.append((self, name)) or real(self))
+    real_partial = star_module.add_partial_unit_rows
+    monkeypatch.setattr(star_module, "add_partial_unit_rows",
+                        lambda *args: partials.append(args) or real_partial(*args))
+    monkeypatch.setattr(verify, "star", lambda f, g: (real_star(f, g), converted.clear())[0])
+    assert run_identity("V11.4").status == "MISMATCH"
+    assert {name for _, name in converted} == {"unit_rows"}
+    assert len(converted) == len({id(x) for x, _ in converted}) == 30
+    assert len(partials) <= 2000
 
 
 def test_v11_operands_lie_inside_the_associativity_proof():
