@@ -401,26 +401,15 @@ class QPolynomial:
             other = QPolynomial.constant(other)
         elif not isinstance(other, QPolynomial):
             return NotImplemented
-        data = {}
+        data, right = {}, other._terms.items()
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                # Coefficients multiply strictly left-to-right; order matters.  The
-                # quaternions are a division ring, so the product is nonzero.  This is
-                # the hottest loop, so add_term and mono_mul are inlined: mono_mul runs
-                # only to check the fields of a product whose degree is over the limit.
-                coeff = c1 * c2
+            for m2, c2 in right:
+                # Coefficients multiply left to right (order matters) into a nonzero
+                # product; mono_mul checks only a product of degree over the limit.
                 mono = m1 + m2
                 if mono >= DEGREE_GUARD:
                     mono_mul(m1, m2)
-                prev = data.get(mono)
-                if prev is None:
-                    data[mono] = coeff
-                else:
-                    merged = prev + coeff
-                    if merged.is_zero():
-                        del data[mono]
-                    else:
-                        data[mono] = merged
+                add_term(data, mono, c1 * c2)
         return QPolynomial.from_terms(data)
 
     def __rmul__(self, other):

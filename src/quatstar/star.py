@@ -280,20 +280,14 @@ def star_differences(candidates, config: StarConfig = DEFAULT_CONFIG):
             _order_rows([first, second], config.theta, config.nu, config.order_cap, memo=memo))
 
 
-def star_difference(first, second, config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
-    """f1 * g1 - f2 * g2 for first = (f1, g1), second = (f2, g2), both series
-    in one accumulator, so terms cancel as ints before any Quaternion is built."""
-    return next(star_differences([(first, second)], config))
-
-
 def star_commutator(f: QPolynomial, g: QPolynomial,
                     config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
-    """f * g - g * f as one `star_difference`."""
-    return star_difference((f, g), (g, f), config)
+    """f * g - g * f as one difference walk."""
+    return next(star_differences([((f, g), (g, f))], config))
 
 
 def associator(f: QPolynomial, g: QPolynomial, h: QPolynomial,
                config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """(f * g) * h - f * (g * h): the inner products are stars, the outer
-    two series one `star_difference`."""
-    return star_difference((star(f, g, config), h), (f, star(g, h, config)), config)
+    two series one difference walk."""
+    return next(star_differences([((star(f, g, config), h), (f, star(g, h, config)))], config))

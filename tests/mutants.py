@@ -12,8 +12,10 @@ A mutant is killed when tier-1 fails or times out; its line ends with the
 first failing test id, or `timeout`, so a kill by a timing bound can be told
 from one by a check of the result.  A survivor listed in
 EQUIVALENT was reviewed and behaves as the original on every input; any other
-survivor makes the script exit 1.  pytest does not collect this file.  From
-the repository root:
+survivor makes the script exit 1.  An EQUIVALENT entry of a sampled module
+that matches no site's mutant is stale: the script prints it and exits 2
+before any mutant runs.  pytest does not collect this file.  From the
+repository root:
 
     python tests/mutants.py --seed 1 --count 40 star.py verify.py
 """
@@ -117,12 +119,24 @@ def _sites(tree):
 
 
 def _mutant(source, index):
-    """(function, before, after, module text) of site `index` of `source`."""
+    """(function, before, after, mutated tree) of site `index` of `source`."""
     tree = ast.parse(source)
     name, shown, mutate = _sites(tree)[index]
     before = ast.unparse(shown)
     mutate()
-    return name, before, ast.unparse(shown), ast.unparse(tree)
+    return name, before, ast.unparse(shown), tree
+
+
+def _stale(sources):
+    """The EQUIVALENT entries of the modules in `sources` that match no
+    site's (function, before, after), sorted."""
+    listed = {entry for entry in EQUIVALENT if entry[0] in sources}
+    for module, source in sources.items():
+        functions = {function for entry_module, function, _, _ in listed if entry_module == module}
+        for index, (name, _, _) in enumerate(_sites(ast.parse(source))):
+            if name in functions:
+                listed.discard((module, *_mutant(source, index)[:3]))
+    return sorted(listed)
 
 
 def _limit_child():
@@ -159,6 +173,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     modules = args.modules or sorted(path.name for path in (ROOT / PACKAGE).glob("*.py"))
     sources = {module: (ROOT / PACKAGE / module).read_text(encoding="utf-8") for module in modules}
+    if stale := _stale(sources):
+        print("EQUIVALENT entries that match no mutant; no mutant run:")
+        for entry in stale:
+            print("  " + " | ".join(entry))
+        return 2
     population = [(module, index) for module in modules
                   for index in range(len(_sites(ast.parse(sources[module]))))]
     sample = random.Random(args.seed).sample(population, min(args.count, len(population)))
@@ -174,10 +193,10 @@ def main(argv=None) -> int:
             return 2
         counts = {"killed": 0, "equivalent": 0, "survived": 0}
         for module, index in sample:
-            name, before, after, text = _mutant(sources[module], index)
+            name, before, after, tree = _mutant(sources[module], index)
             target = copy / PACKAGE / module
             original = target.read_text()
-            target.write_text(text)
+            target.write_text(ast.unparse(tree))
             outcome, first = _tier1(copy)
             target.write_text(original)
             if outcome != "passed":

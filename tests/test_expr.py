@@ -220,6 +220,14 @@ def test_an_unclosed_group_names_the_token_it_met(text, token):
     assert f"(got {token!r})" in str(err.value)
 
 
+@pytest.mark.parametrize("text, column, token", [("a + )", 5, ")"), ("a +", 4, "end of input")])
+def test_an_unexpected_token_is_named(text, column, token):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert (err.value.column, err.value.token) == (column, token)
+    assert f"unexpected token (got {token!r})" in str(err.value)
+
+
 def test_exactly_one_hundred_nesting_levels_parse():
     assert parse_expression("(" * 100 + "a" + ")" * 100) == parse_expression("a")
     with pytest.raises(ParseError) as err:

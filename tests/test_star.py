@@ -14,12 +14,13 @@ import quatstar.poly
 import quatstar.verify as verify
 from quatstar.errors import DomainError
 from quatstar.expr import evaluate_text
-from quatstar.oracle import random_qpoly, random_quaternion, star_oracle
+from quatstar.oracle import (random_monomial, random_qpoly, random_quaternion, random_rational,
+                             star_oracle)
 from quatstar.poly import POSITION_VARS, QPolynomial, add_rows, gen_q, gen_qbar
 from quatstar.quat import UNITS, I, J, K, Quaternion
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec,
                            associator, pair_indices, poisson_bracket, star,
-                           star_commutator, star_difference, star_differences,
+                           star_commutator, star_differences,
                            star_order_term)
 from oracle_order import star_oracle_order
 
@@ -443,7 +444,7 @@ def test_star_difference_is_the_difference_of_two_stars(monkeypatch, config, ope
         raise AssertionError(f"{other} reached")
 
     monkeypatch.setattr(importlib.import_module("quatstar.star"), other, other_format)
-    assert [star_difference(first, second, config) for first, second in cases] == expected
+    assert [next(star_differences([case], config)) for case in cases] == expected
     assert not all(value.is_zero() for value in expected)
 
 
@@ -456,7 +457,7 @@ def test_a_batch_is_its_differences_one_by_one(config, operand):
     # Seeded candidates over five operands, so each recurs across them in
     # both roles, plus one whose two series stop at order 0 (a constant on
     # each side).  The batch keeps every operand's rows and derivatives, and
-    # gives what star_difference gives candidate by candidate.  Fresh equal
+    # gives what a batch of one gives candidate by candidate.  Fresh equal
     # copies, made for one candidate and dropped after it, give the same:
     # the batch keys an operand by id and holds it, so a freed copy's id
     # never reaches another operand's derivatives.
@@ -464,7 +465,7 @@ def test_a_batch_is_its_differences_one_by_one(config, operand):
     x = [operand(rng) for _ in range(4)] + [_const(Quaternion(0, 0, Fraction(3, 2)))]
     cases = [((x[a], x[b]), (x[c], x[d])) for a, b, c, d in (
         rng.choices(range(5), k=4) for _ in range(16))] + [((x[4], x[0]), (x[1], x[4]))]
-    expected = [star_difference(first, second, config) for first, second in cases]
+    expected = [next(star_differences([case], config)) for case in cases]
     assert expected[-1] == x[4] * x[0] - x[1] * x[4]
     assert list(star_differences(cases, config)) == expected
     assert not all(value.is_zero() for value in expected)
@@ -522,6 +523,70 @@ def test_associativity_through_position_degree_two():
         for m in POSITION_VARS:
             assert fg.partial(m) == star(f.partial(m), g) + star(f, g.partial(m))
     _assert_associative_on(_position_monomials(1), star_oracle)
+
+
+def _real_components(f):
+    """The real polynomials f_0..f_3 with f = f_0 + i f_1 + j f_2 + k f_3."""
+    return [QPolynomial([(mono, coeff.components()[u]) for mono, coeff in f.terms()])
+            for u in range(4)]
+
+
+ASSOCIATIVE_CONFIGS = DIFFERENCE_CONFIGS[::4]  # the three routes, uncapped
+CONFIG_IDS = ["formal", "numeric-theta", "numeric-nu"]
+
+
+@pytest.mark.parametrize("config", ASSOCIATIVE_CONFIGS, ids=CONFIG_IDS)
+def test_star_is_the_unit_table_over_real_component_stars(monkeypatch, config):
+    # f * g = sum_{u,v} e_u e_v (f_u * g_v) over the real components, as B
+    # differentiates only central variables and coefficients act from the
+    # left.  The left side of each seeded dense pair runs on integer rows,
+    # every right-side product on signed-unit rows, so each row kernel
+    # checks the other.
+    rng = Random(2040)
+    pairs = [(_dense_operand(rng) + random_qpoly(rng, 4, 2, True), _dense_operand(rng))
+             for _ in range(6)]
+    star_module = importlib.import_module("quatstar.star")
+
+    def unreached(*args):
+        raise AssertionError("the other row format reached")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(star_module, "mul_unit_rows", unreached)
+        expected = [star(f, g, config) for f, g in pairs]
+    with monkeypatch.context() as patch:
+        patch.setattr(star_module, "mul_rows", unreached)
+        for (f, g), fg in zip(pairs, expected):
+            total = QPolynomial.zero()
+            for (u, f_u), (v, g_v) in itertools.product(enumerate(_real_components(f)),
+                                                         enumerate(_real_components(g))):
+                total = total + (UNITS[u] * UNITS[v]) * star(f_u, g_v, config)
+            assert total == fg
+    assert all(f.position_degree() >= 2 and g.position_degree() >= 2 for f, g in pairs)
+
+
+def _real_operand(rng, degree):
+    """A seeded real polynomial of position degree `degree`: a leading
+    monomial of that degree and one to three lower terms, rational coefficients."""
+    top = [0] * 11
+    for _ in range(degree):
+        top[rng.randrange(4)] += 1
+    return QPolynomial([(tuple(top), random_rational(rng) or 1)] + [
+        (random_monomial(rng, degree - 1, True), random_rational(rng))
+        for _ in range(rng.randint(1, 3))])
+
+
+@pytest.mark.parametrize("config", ASSOCIATIVE_CONFIGS, ids=CONFIG_IDS)
+def test_real_associators_of_position_degree_three_and_four_vanish(config):
+    # With the unit table's associativity and the component identity above,
+    # this is the general law: every uncapped associator vanishes.  The
+    # series cut after order 1 is not associative on the same triples.
+    rng = Random(2041)
+    triples = [[_real_operand(rng, rng.choice((3, 4))) for _ in range(3)] for _ in range(6)]
+    assert {x.position_degree() for triple in triples for x in triple} == {3, 4}
+    for f, g, h in triples:
+        assert associator(f, g, h, config).is_zero()
+    capped = StarConfig(config.theta, config.nu, 1)
+    assert not all(associator(f, g, h, capped).is_zero() for f, g, h in triples)
 
 
 @pytest.mark.parametrize("build", [
