@@ -183,7 +183,7 @@ def random_monomial(rng: Random, max_position_degree: int = 4,
         if rng.random() < 0.3:
             exps[NU] += rng.randint(1, 2)
         if rng.random() < 0.3:
-            exps[5 + rng.randrange(6)] += 1
+            exps[VAR_INDEX["Theta_" + PAIRS[rng.randrange(6)]]] += 1
     return tuple(exps)
 
 

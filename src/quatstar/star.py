@@ -25,15 +25,15 @@ The multinomial theorem gives
     (nu/2)^s B^s = sum_{|alpha| = s} (s!/alpha!) d^alpha (x) D^alpha
 
 over derivative multi-indices alpha, so no state over pairs (alpha, beta)
-is needed, and nu and the 1/2 are plain factors of one step table: a formal
-Theta_mn or nu goes into a step's monomial, numeric values into an int over
-den, the lcm of Theta's denominators times nu's denominator times 2.  Order
-s keeps a level, a list of (d^alpha f, D^alpha g, c) with the derivatives
-as rows (see `poly`): d^alpha f over the denominator of f, D^alpha g over
-that of g times den^s.  One bound top on the last order is decided per
-expression before any row is formed: the cap (0 for an empty table, from
-zero Theta or nu = 0), else the larger over its pairs of the smaller
-position degree.  At top 0 the expression is the point product f * g.
+is needed, and nu and the 1/2 are plain factors of one step table, built
+once per StarConfig: a formal Theta_mn or nu goes into a step's monomial,
+numeric values into an int over den, the lcm of Theta's denominators times
+nu's denominator times 2.  Order s keeps a level, a list of (d^alpha f,
+D^alpha g, c) with the derivatives as rows (see `poly`): d^alpha f over the
+denominator of f, D^alpha g over that of g times den^s.  One bound top on
+the last order is decided per expression before any row is formed: the
+table's cap (0 for an empty table, from zero Theta or nu = 0) or, if less,
+the larger over its pairs of the smaller position degree; at top 0, f * g.
 Otherwise it lies over one denominator, top! den^top times the lcm of the
 rows' denominators, so c is s!/alpha! times top!/s! den^(top - s).  Alpha
 grows only in directions at or after its last one, so each alpha is reached
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import takewhile
 from math import factorial, inf, lcm
 from operator import sub
 
@@ -118,37 +117,11 @@ class ThetaSpec:
         return self.values is None
 
 
-@dataclass(frozen=True)
-class StarConfig:
-    """Evaluation policy for star products.
-
-    theta: formal symbols or numeric values for the six Theta_mn.
-    nu: the string "formal" or an exact rational value.
-    order_cap: optional cap on the correction order s (None = run until the
-    series ends, at the smaller position degree).
-    """
-
-    theta: ThetaSpec = ThetaSpec(None)
-    nu: object = "formal"
-    order_cap: int | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.theta, ThetaSpec):
-            raise DomainError(f"theta must be a ThetaSpec, got {self.theta!r}")
-        if self.nu != "formal":
-            object.__setattr__(self, "nu", exact_rational(self.nu, "nu"))
-        cap = self.order_cap
-        if cap is not None and (not isinstance(cap, int) or cap < 0):
-            raise DomainError(f"order_cap must be None or a non-negative int, got {cap!r}")
-
-
-DEFAULT_CONFIG = StarConfig()
-
-
-def _steps(theta: ThetaSpec, nu):
-    """(steps, den): steps[m] lists (n, mono, signed value) for each summand
-    (nu/2) Theta_mn d_n of D_m, the values ints over den, zero ones dropped.
-    A formal Theta_mn or nu goes into the monomial; numeric values make the
+def _step_table(theta: ThetaSpec, nu, cap):
+    """(steps, den, bound): steps[m] lists (n, mono, signed value) for each
+    summand (nu/2) Theta_mn d_n of D_m, the values ints over den, zero ones
+    dropped; bound is the order cap (None: inf), 0 for an empty table.  A
+    formal Theta_mn or nu goes into the monomial; numeric values make the
     int, over den = the lcm of Theta's denominators times nu's denominator
     times 2.  nu = 0 or zero Theta leaves the table empty."""
     formal = theta.is_formal()
@@ -164,7 +137,36 @@ def _steps(theta: ThetaSpec, nu):
         if value:
             steps[m].append((n, mono, value))
             steps[n].append((m, mono, -value))
-    return steps, 2 * theta_den * nu.denominator
+    return steps, 2 * theta_den * nu.denominator, 0 if not any(steps) else inf if cap is None else cap
+
+
+@dataclass(frozen=True)
+class StarConfig:
+    """Evaluation policy for star products.
+
+    theta: formal symbols or numeric values for the six Theta_mn.
+    nu: the string "formal" or an exact rational value.
+    order_cap: optional cap on the correction order s (None = run until the
+    series ends, at the smaller position degree).  Construction builds the
+    step table once (`_step_table`) as `_table`, outside repr, == and hash.
+    """
+
+    theta: ThetaSpec = ThetaSpec(None)
+    nu: object = "formal"
+    order_cap: int | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.theta, ThetaSpec):
+            raise DomainError(f"theta must be a ThetaSpec, got {self.theta!r}")
+        if self.nu != "formal":
+            object.__setattr__(self, "nu", exact_rational(self.nu, "nu"))
+        cap = self.order_cap
+        if cap is not None and (not isinstance(cap, int) or cap < 0):
+            raise DomainError(f"order_cap must be None or a non-negative int, got {cap!r}")
+        object.__setattr__(self, "_table", _step_table(self.theta, self.nu, cap))
+
+
+DEFAULT_CONFIG = StarConfig()
 
 
 def _walk(acc, kernel, steps, den, level, top, first_order):
@@ -176,7 +178,8 @@ def _walk(acc, kernel, steps, den, level, top, first_order):
     child (d_m left, D_m right) formed on first use and kept, {} if zero.  A
     series ends where its children are all zero, the walk at top or when its
     level empties.  `kernel` is the rows' format: its partial, its product
-    into integer rows, and the entry a partial's sum that cancels leaves."""
+    into integer rows, and the entry a partial's sum that cancels leaves.
+    `steps` and `den` are the config's table, built with it, not here."""
     partial, product, cancelled = kernel
     s = 0
     while True:
@@ -218,32 +221,29 @@ def _roots(memo, x, unit):
     return hit[1]
 
 
-def _order_rows(pairs, theta, nu, max_order, first_order=0, memo=None):
-    """The term dict of sum nu^s C_s[f, g] over first_order <= s <= max_order
-    (None: until the series ends) for the first pair (f, g) of `pairs`, minus
-    that of the second pair if any.  Its bound `top` is decided before any row
-    is formed: the cap (0 for an empty step table), else the larger over the
-    pairs of the smaller position degree.  Past top it is zero, at top 0 the
-    point product.  Otherwise one row format serves every operand (see the
-    module), and both series walk in one level into one accumulator.  A
-    `memo` (`_roots`) shares operand trees across calls of one Theta and nu."""
-    steps, den = _steps(theta, nu)
-    cap = 0 if not any(steps) else inf if max_order is None else max_order
-    top = min(cap, max(min(f.position_degree(), g.position_degree()) for f, g in pairs))
-    if first_order > top:
-        return {}
-    if top == 0:
-        return dict(reduce(sub, [f * g for f, g in pairs]).items())
+def _order_rows(pairs, config, first_order=0, memo=None):
+    """The term dict of sum nu^s C_s[f, g] over first_order <= s <= top under
+    `config` for the first pair (f, g) of `pairs`, minus that of the second
+    pair if any.  top, decided before any row is formed, is the config's
+    table bound or, if smaller, the larger over the pairs of the smaller
+    position degree; past it the sum is zero.  One pass over the operands
+    picks the row format (see the module), and the point product, all of top
+    0 and order 0 on integer rows, is formed in one place.  Both series walk
+    in one level into one accumulator; a `memo` (`_roots`) shares operand
+    trees across calls of one config, whose `_table` the walk reads."""
+    steps, den, bound = config._table
+    top = min(bound, max(min(f.position_degree(), g.position_degree()) for f, g in pairs))
     memo = {} if memo is None else memo
     operands = [x for pair in pairs for x in pair]
-    roots = list(takewhile(bool, (_roots(memo, x, True) for x in operands)))
-    if len(roots) == len(operands):
-        kernel, data = (add_partial_unit_rows, mul_unit_rows, 0), {}
-    else:
-        kernel = add_partial_rows, mul_rows, (0, 0, 0, 0)
-        data = dict(reduce(sub, [f * g for f, g in pairs]).items()) if first_order == 0 else {}
-        first_order = max(first_order, 1)
-        roots = [_roots(memo, x, False) for x in operands]
+    unit = top >= max(first_order, 1) and all(_roots(memo, x, True) for x in operands)
+    data = {}
+    if not unit and first_order == 0:
+        data, first_order = dict(reduce(sub, [f * g for f, g in pairs]).items()), 1
+    if first_order > top:
+        return data
+    kernel = ((add_partial_unit_rows, mul_unit_rows, 0) if unit
+              else (add_partial_rows, mul_rows, (0, 0, 0, 0)))
+    roots = [_roots(memo, x, unit) for x in operands]
     dens = [f_den * g_den for (_, _, f_den), (_, _, g_den) in zip(roots[::2], roots[1::2])]
     total = factorial(top) * den ** top * lcm(*dens)
     level = [(f_node, g_node, sign * total // d, 0, 0) for sign, (f_node, _, _), (_, g_node, _), d
@@ -255,7 +255,7 @@ def _order_rows(pairs, theta, nu, max_order, first_order=0, memo=None):
 
 def star(f: QPolynomial, g: QPolynomial, config: StarConfig = DEFAULT_CONFIG) -> QPolynomial:
     """The full (terminating) star product of f and g under `config`."""
-    return QPolynomial.from_terms(_order_rows([(f, g)], config.theta, config.nu, config.order_cap))
+    return QPolynomial.from_terms(_order_rows([(f, g)], config))
 
 
 def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
@@ -266,7 +266,7 @@ def star_order_term(f: QPolynomial, g: QPolynomial, s: int,
     if not isinstance(s, int) or s < 0:
         raise DomainError(f"correction order must be a non-negative int, got {s!r}")
     cap = s if config.order_cap is None else min(s, config.order_cap)
-    return QPolynomial.from_terms(_order_rows([(f, g)], config.theta, 1, cap, s))
+    return QPolynomial.from_terms(_order_rows([(f, g)], StarConfig(config.theta, 1, cap), s))
 
 
 def star_differences(candidates, config: StarConfig = DEFAULT_CONFIG):
@@ -276,8 +276,7 @@ def star_differences(candidates, config: StarConfig = DEFAULT_CONFIG):
     an operand repeated across candidates is converted and differentiated once."""
     memo = {}
     for first, second in candidates:
-        yield QPolynomial.from_terms(
-            _order_rows([first, second], config.theta, config.nu, config.order_cap, memo=memo))
+        yield QPolynomial.from_terms(_order_rows([first, second], config, memo=memo))
 
 
 def star_commutator(f: QPolynomial, g: QPolynomial,

@@ -196,6 +196,18 @@ def test_bracket_oracle_matches_engine():
             assert poisson_bracket_oracle(f, g, pair) == poisson_bracket(f, g, pair)
 
 
+def test_bracket_oracle_forms_only_the_first_order(monkeypatch):
+    # The bracket is the raw order-1 sum, one product per signed pair whose
+    # two derivatives are nonzero; a second order would be formed and dropped.
+    calls, real, f, g = [], quatstar.oracle._add_product, Q ** 2, QBAR ** 2
+    monkeypatch.setattr(quatstar.oracle, "_add_product",
+                        lambda *args: calls.append(args) or real(*args))
+    for pair in PAIRS:
+        calls.clear()
+        assert poisson_bracket_oracle(f, g, pair) == poisson_bracket(f, g, pair)
+        assert len(calls) == 2, pair
+
+
 def test_bracket_oracle_handles_nu_laden_operands():
     nu = QPolynomial.variable("nu")
     f = nu * Q

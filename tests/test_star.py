@@ -1,6 +1,7 @@
 """Poisson brackets and the terminating star product."""
 
 import ast
+import dataclasses
 import importlib
 import itertools
 from fractions import Fraction
@@ -22,6 +23,7 @@ from quatstar.star import (PAIRS, StarConfig, ThetaSpec,
                            associator, pair_indices, poisson_bracket, star,
                            star_commutator, star_differences,
                            star_order_term)
+import costs
 from oracle_order import star_oracle_order
 
 Q = gen_q()
@@ -619,6 +621,63 @@ def test_theta_spec_validation():
 def test_bad_configs_are_domain_errors(build):
     with pytest.raises(DomainError):
         build()
+
+
+def test_each_config_builds_its_step_table_once(monkeypatch):
+    # The table depends on Theta, nu and the cap alone, so a config builds it
+    # at construction and no star call builds another: not V11.4's 25 inner
+    # stars and 125 screens, not any call of a full catalogue run.
+    star_module = importlib.import_module("quatstar.star")
+    builds, build = [], star_module._step_table
+    monkeypatch.setattr(star_module, "_step_table",
+                        lambda *args: builds.append(args) or build(*args))
+    config = StarConfig(ThetaSpec.numeric({"ab": 1, "cd": Fraction(-1, 2)}), Fraction(3, 4))
+    assert len(builds) == 1
+    assert star(Q ** 2, QBAR ** 2, config) == star_oracle(Q ** 2, QBAR ** 2, config)
+    assert star_commutator(Q ** 2, QBAR, config) == \
+        star(Q ** 2, QBAR, config) - star(QBAR, Q ** 2, config)
+    assert len(builds) == 1
+    assert verify.run_identity("V11.4").status == "MISMATCH"
+    verify.run_all()
+    assert len(builds) == 1
+
+
+def test_star_reads_the_stored_table_and_the_oracle_reads_the_fields():
+    # With another config's table in its place, a config's star products are
+    # those of the other config, while the oracle still reads Theta and nu.
+    config, other = StarConfig(ThetaSpec.numeric({"cd": 1}), 1), StarConfig()
+    f, g = Q ** 2, QBAR ** 2
+    own, oracle = star(f, g, config), star_oracle(f, g, config)
+    assert own == oracle != star(f, g, other)
+    object.__setattr__(config, "_table", other._table)
+    assert star(f, g, config) == star(f, g, other) != own
+    assert star_oracle(f, g, config) == oracle
+
+
+def test_config_repr_eq_and_hash_are_those_of_its_fields():
+    theta = ThetaSpec.numeric({"ab": Fraction(1, 2)})
+    config, same = StarConfig(theta, Fraction(3, 4), 2), StarConfig(theta, Fraction(3, 4), 2)
+    assert repr(config) == f"StarConfig(theta={theta!r}, nu=Fraction(3, 4), order_cap=2)"
+    assert [field.name for field in dataclasses.fields(config)] == ["theta", "nu", "order_cap"]
+    object.__setattr__(config, "_table", StarConfig()._table)
+    assert config == same != StarConfig(theta, Fraction(3, 4))
+    assert hash(config) == hash((theta, Fraction(3, 4), 2)) == hash(same)
+
+
+def test_work_counts_stay_within_their_bounds():
+    # Exact counts of the row kernels (tests/costs.py), measured on the parent
+    # of the step-table change; a change that lowers one lowers its bound here.
+    bounds = {
+        "star(q^6, qbar^6)": {"pairs": 139_728, "mul_unit_rows": 172, "add_partial_unit_rows": 718},
+        "associator(q^3, qbar^2, q^2)": {"pairs": 8_923, "mul_unit_rows": 73,
+                                         "add_partial_unit_rows": 363},
+        "star((1 + i) q^4, qbar^4)": {"pairs": 6_180, "mul_rows": 55, "add_partial_rows": 233},
+    }
+    for name, bound in bounds.items():
+        counts = costs.measure(name)
+        over = {key: counts[key] for key in ("pairs", *costs.KERNELS)
+                if counts[key] > bound.get(key, 0)}
+        assert not over, (name, over)
 
 
 def test_star_leaves_the_packed_format_to_poly():
