@@ -76,6 +76,10 @@ EQUIVALENT = {
     # The early return only shortens the loop: cap 0 stops it before its
     # first order, and with no steps its first order has no pair.
     ("oracle.py", "_order_sums", "cap == 0 or not steps", "cap == 0 and (not steps)"),
+    # The walk's alpha and beta only key its pairs and gradients; a `-` negates
+    # every key on its side, one to one, so the same pairs merge.
+    ("oracle.py", "_order_sums", "alpha + em", "alpha - em"),
+    ("oracle.py", "_order_sums", "beta + en", "beta - en"),
     # random() returns exactly 0.3 with probability 2**-53 per draw.
     ("oracle.py", "random_monomial", "rng.random() < 0.3", "rng.random() <= 0.3"),
 }

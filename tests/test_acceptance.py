@@ -400,6 +400,14 @@ def test_oracle_degree_six_star_under_three_seconds():
     assert product == star(f, g)
 
 
+def test_oracle_degree_seven_star_equals_the_engine():
+    """star_oracle(q^7, qbar^7) equals the engine's product: both routes at
+    degree 7, 18,008 terms, with no timing bound."""
+    f, g = gen_q() ** 7, gen_q().conjugate() ** 7
+    product = oracle.star_oracle(f, g)
+    assert len(product) == 18008 and product == star(f, g)
+
+
 # --- criterion 8 -----------------------------------------------------------
 
 def _validate_report_schema(data):

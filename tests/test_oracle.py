@@ -14,10 +14,11 @@ import quatstar.oracle
 from quatstar.errors import DomainError
 from quatstar.oracle import (poisson_bracket_oracle, random_qpoly, random_quaternion, random_rational,
                              star_oracle)
-from quatstar.poly import QPolynomial, add_term, gen_q, gen_qbar
+from quatstar.poly import ZERO_MONO, QPolynomial, add_term, gen_q, gen_qbar
 from quatstar.quat import Quaternion
 from quatstar.star import (PAIRS, StarConfig, ThetaSpec, poisson_bracket,
                            star, star_differences, star_order_term)
+import costs
 from oracle_order import star_oracle_order
 from test_golden import DEEP_THETAS
 
@@ -122,7 +123,9 @@ def test_collected_weight_that_cancels_drops_its_pair():
     -+Theta_ab Theta_ac Theta_bc that cancel: the oracle drops the pair, so
     its series ends at order 2, and the engine's order 3 is zero too."""
     f = QPolynomial.variable("a") * QPolynomial.variable("b") * QPolynomial.variable("c")
-    assert len(quatstar.oracle._order_sums(f, f, ThetaSpec.formal(), None)) == 2
+    rows, _ = quatstar.oracle._rows(f)
+    steps, _ = quatstar.oracle._signed_steps(ThetaSpec.formal(), ZERO_MONO)
+    assert len(quatstar.oracle._order_sums(rows, rows, steps, None)) == 2
     assert not star_order_term(f, f, 2).is_zero() and star_order_term(f, f, 3).is_zero()
     assert star_oracle(f, f) == star(f, f)
 
@@ -197,8 +200,9 @@ def test_bracket_oracle_matches_engine():
 
 
 def test_bracket_oracle_forms_only_the_first_order(monkeypatch):
-    # The bracket is the raw order-1 sum, one product per signed pair whose
-    # two derivatives are nonzero; a second order would be formed and dropped.
+    # The bracket is the raw order-1 sum, one product of integer rows per
+    # signed pair whose two derivatives are nonzero; a second order would be
+    # formed and dropped.
     calls, real, f, g = [], quatstar.oracle._add_product, Q ** 2, QBAR ** 2
     monkeypatch.setattr(quatstar.oracle, "_add_product",
                         lambda *args: calls.append(args) or real(*args))
@@ -206,6 +210,8 @@ def test_bracket_oracle_forms_only_the_first_order(monkeypatch):
         calls.clear()
         assert poisson_bracket_oracle(f, g, pair) == poisson_bracket(f, g, pair)
         assert len(calls) == 2, pair
+        assert all(type(n) is int for _, left, right, _ in calls
+                   for rows in (left, right) for row in rows.values() for n in row)
 
 
 def test_bracket_oracle_handles_nu_laden_operands():
@@ -291,15 +297,16 @@ def test_oracle_shares_no_star_kernel():
 
 
 def _raise(*args, **kwargs):
-    raise AssertionError("the oracle reached a product, partial or row kernel of the engine")
+    raise AssertionError("the oracle reached a product, partial, row kernel or merge of the engine")
 
 
 @pytest.mark.parametrize("config", [StarConfig(), StarConfig(theta=RATIONAL_THETA),
                                     StarConfig(nu=Fraction(-3, 2))],
                          ids=["formal", "numeric-theta", "numeric-nu"])
 def test_oracle_runs_on_its_own_product_and_gradient(monkeypatch, config):
-    """With every polynomial product, partial and row kernel of `poly` and
-    `star` raising, the oracle's star products and brackets are unchanged."""
+    """With every polynomial product, partial, row kernel and term merge of
+    `poly` and `star`, and `Quaternion`'s `+`, `*` and `scale`, raising, the
+    oracle's star products and brackets are unchanged."""
     rng = Random(61)
     pairs = [(random_qpoly(rng, 4, 4, True), random_qpoly(rng, 4, 4, True)) for _ in range(12)]
     pairs += [(Q * Q, QBAR), (QBAR, Q * Q * Q)]
@@ -311,10 +318,12 @@ def test_oracle_runs_on_its_own_product_and_gradient(monkeypatch, config):
     expected = results()
     for name in ("__mul__", "partial", "rows", "unit_rows"):
         monkeypatch.setattr(QPolynomial, name, _raise)
+    for name in ("__add__", "__mul__", "scale"):
+        monkeypatch.setattr(Quaternion, name, _raise)
     for module in ("quatstar.poly", "quatstar.star"):
         module = importlib.import_module(module)
         for name in ("mul_rows", "mul_unit_rows", "add_partial_rows", "add_partial_unit_rows",
-                     "add_rows"):
+                     "add_rows", "add_term"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _raise)
     assert results() == expected
@@ -344,10 +353,21 @@ def test_oracle_order_0_sees_a_mutant_polynomial_product(monkeypatch, config):
     assert star(f, g, config) != right
 
 
+def test_oracle_work_counts_stay_within_their_bounds():
+    # Exact counts of the oracle's product and gradient (tests/costs.py) on
+    # star_oracle(q^4, qbar^4); a change that lowers one lowers its bound here.
+    bound = {"pairs": 6_664, "_add_product": 673, "_gradient": 90, "terms": 755}
+    counts = costs.measure("star_oracle(q^4, qbar^4)")
+    assert counts["terms"] == bound["terms"]
+    assert not {key: counts[key] for key in bound if counts[key] > bound[key]}, counts
+
+
 def test_oracle_gradient_equals_the_four_partials():
     rng = Random(17)
     cases = [random_qpoly(rng, 4, 4, True) for _ in range(60)]
     cases += [QPolynomial.zero(), QPolynomial.constant(Fraction(-3, 4)), gen_q() ** 3]
     for p in cases:
-        assert list(quatstar.oracle._gradient(dict(p.items()))) == [
+        rows, den = quatstar.oracle._rows(p)
+        assert [{mono: Quaternion(*(Fraction(n, den) for n in row)) for mono, row in part.items()}
+                for part in quatstar.oracle._gradient(rows)] == [
             dict(p.partial(v).items()) for v in range(4)]
